@@ -86,7 +86,7 @@ def attach_and_embed(g: DirectedProductGraph, features: np.ndarray,
                               g.cv_pairs, g.num_nodes + 1)
     aug_features = np.vstack([features, req.features[None, :]])
     blocks = full_blocks(overlay, [cold_id], params.num_layers)
-    emb = forward(blocks, aug_features, params)
+    emb, _ = forward(blocks, aug_features, params)
     return emb.theta_s[0], emb.theta_t[0], warm
 
 

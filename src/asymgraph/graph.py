@@ -179,24 +179,31 @@ def build_graph(cp_pairs, cv_pairs, num_nodes: int) -> DirectedProductGraph:
     )
 
 
-def one_way_cp_edges(g: DirectedProductGraph) -> np.ndarray:
-    """Co-purchase edges whose reverse is absent, sorted by (u, v)."""
-    edges = g.cp_edges
-    if len(edges) == 0:
-        return edges
-    mask = np.fromiter(
-        (not g.cp_out.has_edge(v, u) for u, v in edges),
-        dtype=bool, count=len(edges))
-    return edges[mask]
+def has_cp_edges(g: DirectedProductGraph, u, v) -> np.ndarray:
+    """Elementwise flag: True iff the co-purchase edge u -> v exists.
+
+    u and v broadcast against each other. cp_edges is sorted by (u, v),
+    so its `u * n + v` keys are sorted and one searchsorted answers all.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    keys = g.cp_edges[:, 0] * g.num_nodes + g.cp_edges[:, 1]
+    if len(keys) == 0:
+        return np.zeros(np.broadcast_shapes(u.shape, v.shape), dtype=bool)
+    q = u * g.num_nodes + v
+    idx = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+    return keys[idx] == q
 
 
 def one_way_mask(g: DirectedProductGraph, edges: np.ndarray) -> np.ndarray:
     """Per-edge flag: True iff the reverse co-purchase edge is absent."""
-    if len(edges) == 0:
-        return np.zeros(0, dtype=bool)
-    return np.fromiter(
-        (not g.cp_out.has_edge(v, u) for u, v in edges),
-        dtype=bool, count=len(edges))
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return ~has_cp_edges(g, edges[:, 1], edges[:, 0])
+
+
+def one_way_cp_edges(g: DirectedProductGraph) -> np.ndarray:
+    """Co-purchase edges whose reverse is absent, sorted by (u, v)."""
+    return g.cp_edges[one_way_mask(g, g.cp_edges)]
 
 
 @dataclass(frozen=True)

@@ -111,8 +111,22 @@ def _selection(ptr: np.ndarray, rows: np.ndarray, n_cols: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, rows, ptr), shape=(len(ptr) - 1, n_cols))
 
 
+@dataclass
+class Tape:
+    """What one forward pass keeps for its backward pass.
+
+    steps[(channel, layer)] holds the selection matrices, the summed
+    neighbor inputs, the ReLU masks, the pre-normalization row norms and
+    the normalized output of that channel's layer. A tape is only valid
+    for the weights it was recorded with.
+    """
+
+    num_layers: int
+    steps: dict
+
+
 def _forward_cached(blocks: ComputationBlocks, features: np.ndarray,
-                    params: ModelParams):
+                    params: ModelParams) -> tuple[DualEmbeddings, Tape]:
     """Run the layered aggregation, keeping intermediates for backward."""
     if params.num_layers != blocks.num_layers:
         raise ValueError(
@@ -123,7 +137,7 @@ def _forward_cached(blocks: ComputationBlocks, features: np.ndarray,
     H = {}
     for ch in (SOURCE, TARGET):
         H[(ch, 0)] = features[blocks.levels[0][ch].nodes]
-    cache = {}
+    steps = {}
     for l in range(1, blocks.num_layers + 1):
         w = params.weights[l - 1]
         for ch in (SOURCE, TARGET):
@@ -146,34 +160,35 @@ def _forward_cached(blocks: ComputationBlocks, features: np.ndarray,
                 raise NumericalError(
                     f"non-finite row norms in layer {l} ({ch} channel)")
             H[(ch, l)] = out
-            cache[(ch, l)] = (sel_cp, sel_cv, sum_cp, sum_cv,
-                              pre_cp, pre_cv, norms)
-    return H, cache
+            steps[(ch, l)] = (sel_cp, sel_cv, sum_cp, sum_cv,
+                              pre_cp > 0.0, pre_cv > 0.0, norms, out)
+    L = blocks.num_layers
+    emb = DualEmbeddings(nodes=blocks.seeds,
+                         theta_s=H[(SOURCE, L)], theta_t=H[(TARGET, L)])
+    return emb, Tape(num_layers=L, steps=steps)
 
 
 def forward(blocks: ComputationBlocks, features: np.ndarray,
-            params: ModelParams) -> DualEmbeddings:
-    """Embeddings for the block seeds; rows align with blocks.seeds."""
-    H, _ = _forward_cached(blocks, features, params)
-    L = blocks.num_layers
-    return DualEmbeddings(nodes=blocks.seeds,
-                          theta_s=H[(SOURCE, L)],
-                          theta_t=H[(TARGET, L)])
+            params: ModelParams) -> tuple[DualEmbeddings, Tape]:
+    """Embeddings for the block seeds (rows align with blocks.seeds), plus
+    the tape that `backward` needs for the same weights."""
+    return _forward_cached(blocks, features, params)
 
 
-def backward(blocks: ComputationBlocks, features: np.ndarray,
-             params: ModelParams, loss_grad_s: np.ndarray,
+def backward(tape: Tape, params: ModelParams, loss_grad_s: np.ndarray,
              loss_grad_t: np.ndarray) -> list[np.ndarray]:
     """Gradients of a scalar loss w.r.t. every weight matrix.
 
-    loss_grad_s / loss_grad_t are the loss gradients w.r.t. the seed
-    output rows. Normalization backpropagates through the standard
-    projected Jacobian, with zero-norm rows contributing nothing; the
-    ReLU subgradient at 0 is 0. Shared weights accumulate across
-    channels and relation terms.
+    tape comes from `forward` with these same params; loss_grad_s /
+    loss_grad_t are the loss gradients w.r.t. its seed output rows.
+    Normalization backpropagates through the standard projected Jacobian,
+    with zero-norm rows contributing nothing; the ReLU subgradient at 0
+    is 0. Shared weights accumulate across channels and relation terms.
     """
-    H, cache = _forward_cached(blocks, features, params)
-    L = blocks.num_layers
+    if params.num_layers != tape.num_layers:
+        raise ValueError(
+            f"tape has {tape.num_layers} layers, params {params.num_layers}")
+    L = tape.num_layers
     grads = [np.zeros_like(w) for w in params.weights]
     gH = {(SOURCE, L): np.array(loss_grad_s, dtype=np.float64),
           (TARGET, L): np.array(loss_grad_t, dtype=np.float64)}
@@ -183,23 +198,21 @@ def backward(blocks: ComputationBlocks, features: np.ndarray,
             g_out = gH.pop((ch, l), None)
             if g_out is None:
                 continue
-            sel_cp, sel_cv, sum_cp, sum_cv, pre_cp, pre_cv, norms = cache[(ch, l)]
-            y = H[(ch, l)]
+            sel_cp, sel_cv, sum_cp, sum_cv, on_cp, on_cv, norms, y = \
+                tape.steps[(ch, l)]
             nz = norms > 0.0
-            g_pre = np.zeros_like(g_out)
-            if nz.any():
-                dot = np.sum(y[nz] * g_out[nz], axis=1, keepdims=True)
-                g_pre[nz] = (g_out[nz] - y[nz] * dot) / norms[nz, None]
-            g_cp = g_pre * (pre_cp > 0.0)
-            g_cv = g_pre * (pre_cv > 0.0)
+            dot = np.sum(y * g_out, axis=1, keepdims=True)
+            g_pre = g_out - y * dot
+            g_pre /= np.where(nz, norms, 1.0)[:, None]
+            g_pre[~nz] = 0.0
+            g_cp = g_pre * on_cp
+            g_cv = g_pre * on_cv
             grads[l - 1] += sum_cp.T @ g_cp + sum_cv.T @ g_cv
-            g_sum_cp = g_cp @ w.T
-            g_sum_cv = g_cv @ w.T
+            if l == 1:
+                continue  # input features are constants
             other = TARGET if ch == SOURCE else SOURCE
-            for key, sel, g_sum in (((other, l - 1), sel_cp, g_sum_cp),
-                                    ((ch, l - 1), sel_cv, g_sum_cv)):
-                if l - 1 == 0:
-                    continue  # input features are constants
+            for key, sel, g_sum in (((other, l - 1), sel_cp, g_cp @ w.T),
+                                    ((ch, l - 1), sel_cv, g_cv @ w.T)):
                 contrib = sel.T @ g_sum
                 if key in gH:
                     gH[key] = gH[key] + contrib
@@ -232,7 +245,7 @@ def embed_all(g: DirectedProductGraph, features: np.ndarray,
         else:
             blocks = sample_blocks(g, seeds, fanouts,
                                    rng_seed=rng_seed + start)
-        emb = forward(blocks, features, params)
+        emb, _ = forward(blocks, features, params)
         theta_s[seeds] = emb.theta_s
         theta_t[seeds] = emb.theta_t
     return DualEmbeddings(nodes=np.arange(n), theta_s=theta_s, theta_t=theta_t)

@@ -10,7 +10,11 @@ each channel needs:
 
 Per (relation, direction) a node keeps all neighbors when their count is
 within the layer cap, otherwise a uniform sample without replacement of
-exactly the cap. Everything is deterministic given the seed.
+exactly the cap. A whole frontier is read from the CSR arrays at once:
+every neighbor of an over-cap row gets one uniform random key, and the
+row keeps the neighbors whose key ranks below the cap within the row, in
+their original sorted order. Rows within the cap, and full-neighborhood
+blocks, draw no randomness. Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedProductGraph
+from .graph import DirectedProductGraph, has_cp_edges
 from .util import derive_rng
 
 DEFAULT_FANOUTS = (20, 10, 10)
@@ -64,17 +68,35 @@ def _empty_block(nodes: np.ndarray) -> LayerBlock:
 
 def _sample_rows(adj, nodes, cap, rng) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated sampled neighbor lists plus CSR offsets."""
+    starts = adj.indptr[nodes]
+    deg = adj.indptr[nodes + 1] - starts
     ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-    chunks = []
-    for i, u in enumerate(nodes):
-        nbrs = adj.neighbors(u)
-        if cap is not None and len(nbrs) > cap:
-            sel = rng.choice(len(nbrs), size=cap, replace=False)
-            nbrs = nbrs[np.sort(sel)]
-        ptr[i + 1] = ptr[i] + len(nbrs)
-        chunks.append(nbrs)
-    flat = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return ptr, flat.astype(np.int64)
+    np.cumsum(deg, out=ptr[1:])
+    # flat index into adj.indices of every neighbor, row after row
+    pos = np.arange(ptr[-1], dtype=np.int64) + np.repeat(starts - ptr[:-1], deg)
+    if cap is not None and (deg > cap).any():
+        over = deg > cap
+        in_over = np.repeat(over, deg)
+        over_deg = deg[over]
+        keys = rng.random(int(over_deg.sum()))
+        row = np.repeat(np.arange(len(over_deg)), over_deg)
+        order = np.lexsort((keys, row))
+        row_start = np.repeat(np.cumsum(over_deg) - over_deg, over_deg)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order)) - row_start
+        keep = np.ones(len(pos), dtype=bool)
+        keep[in_over] = rank < cap
+        pos = pos[keep]
+        np.cumsum(np.minimum(deg, cap), out=ptr[1:])
+    return ptr, adj.indices[pos]
+
+
+def _sorted_ids(num_nodes: int, *ids: np.ndarray) -> np.ndarray:
+    """Sorted distinct ids of the given arrays, via a catalog bitmap."""
+    hit = np.zeros(num_nodes, dtype=bool)
+    for part in ids:
+        hit[part] = True
+    return np.flatnonzero(hit)
 
 
 def sample_blocks(g: DirectedProductGraph, seeds, fanouts,
@@ -116,19 +138,23 @@ def sample_blocks(g: DirectedProductGraph, seeds, fanouts,
         }
         need = {
             # cv keeps the channel, cp flips it
-            SOURCE: np.unique(np.concatenate([s_cv, t_cp])),
-            TARGET: np.unique(np.concatenate([s_cp, t_cv])),
+            SOURCE: _sorted_ids(g.num_nodes, s_cv, t_cp),
+            TARGET: _sorted_ids(g.num_nodes, s_cp, t_cv),
         }
     levels[0] = {ch: _empty_block(need[ch]) for ch in (SOURCE, TARGET)}
 
-    # Resolve neighbor ids to row indices in the feeding frontier.
+    # Resolve neighbor ids to row indices in the feeding frontier; every
+    # neighbor id is in that frontier, so stale entries are never read.
+    row_of = np.empty(g.num_nodes, dtype=np.int64)
     for l in range(1, num_layers + 1):
         below = levels[l - 1]
         for ch in (SOURCE, TARGET):
             blk = levels[l][ch]
             other = TARGET if ch == SOURCE else SOURCE
-            blk.cp_rows = np.searchsorted(below[other].nodes, blk.cp_nbrs)
-            blk.cv_rows = np.searchsorted(below[ch].nodes, blk.cv_nbrs)
+            row_of[below[other].nodes] = np.arange(len(below[other].nodes))
+            blk.cp_rows = row_of[blk.cp_nbrs]
+            row_of[below[ch].nodes] = np.arange(len(below[ch].nodes))
+            blk.cv_rows = row_of[blk.cv_nbrs]
     return ComputationBlocks(seeds=seeds, num_layers=num_layers, levels=levels)
 
 
@@ -147,6 +173,10 @@ def sample_negatives(g: DirectedProductGraph, pos_edges, n_k: int,
     out-neighbors. If fewer legal ids than n_k exist the draw falls back
     to sampling with replacement and warns.
 
+    Rows are drawn together: each pending row gets a block of uniform ids,
+    illegal ids and repeats within the row are rejected, and a row with
+    at least n_k survivors keeps the first n_k; the rest are redrawn.
+
     Returns an (len(pos_edges), n_k) id array.
     """
     if n_k < 1:
@@ -155,37 +185,49 @@ def sample_negatives(g: DirectedProductGraph, pos_edges, n_k: int,
     rng = derive_rng(rng_seed)
     n = g.num_nodes
     out = np.empty((len(pos), n_k), dtype=np.int64)
-    for i, (u, _v) in enumerate(pos):
+    u_all = pos[:, 0]
+    out_deg = g.cp_out.indptr[u_all + 1] - g.cp_out.indptr[u_all]
+    short = n - 1 - out_deg * bool(exclude_positives) < n_k
+    for i in np.flatnonzero(short):
+        u = u_all[i]
         if exclude_positives:
             excl = np.concatenate([[u], g.cp_out.neighbors(u)])
         else:
             excl = np.asarray([u])
         excl = np.unique(excl)
         legal = n - len(excl)
-        if legal < n_k:
-            warnings.warn(
-                f"node {u}: only {legal} legal negatives for n_k={n_k}; "
-                "sampling with replacement", stacklevel=2)
-            allowed = np.setdiff1d(np.arange(n), excl)
-            if len(allowed) == 0:
-                # every non-self id is a known positive; z != u is the one
-                # hard requirement, so fall back to that alone
-                allowed = np.setdiff1d(np.arange(n), np.asarray([u]))
-            if len(allowed) == 0:
-                raise ValueError(
-                    f"cannot sample negatives: node {u} is the whole catalog")
-            out[i] = rng.choice(allowed, size=n_k, replace=True)
-            continue
-        picked: list[int] = []
-        seen = set()
-        while len(picked) < n_k:
-            draws = rng.integers(0, n, size=max(2 * (n_k - len(picked)), 8))
-            ok = draws[~np.isin(draws, excl)]
-            for z in ok:
-                if z not in seen:
-                    seen.add(int(z))
-                    picked.append(int(z))
-                    if len(picked) == n_k:
-                        break
-        out[i] = picked
+        warnings.warn(
+            f"node {u}: only {legal} legal negatives for n_k={n_k}; "
+            "sampling with replacement", stacklevel=2)
+        allowed = np.setdiff1d(np.arange(n), excl)
+        if len(allowed) == 0:
+            # every non-self id is a known positive; z != u is the one
+            # hard requirement, so fall back to that alone
+            allowed = np.setdiff1d(np.arange(n), np.asarray([u]))
+        if len(allowed) == 0:
+            raise ValueError(
+                f"cannot sample negatives: node {u} is the whole catalog")
+        out[i] = rng.choice(allowed, size=n_k, replace=True)
+
+    pending = np.flatnonzero(~short)
+    width = 2 * n_k
+    while len(pending):
+        u = u_all[pending, None]
+        draws = rng.integers(0, n, size=(len(pending), width))
+        ok = draws != u
+        if exclude_positives:
+            ok &= ~has_cp_edges(g, u, draws)
+        # a stable sort puts each id's first column first among its copies
+        order = np.argsort(draws, axis=1, kind="stable")
+        srt = np.take_along_axis(draws, order, axis=1)
+        repeat = np.zeros_like(ok)
+        np.put_along_axis(repeat, order[:, 1:], srt[:, 1:] == srt[:, :-1], axis=1)
+        ok &= ~repeat
+        done = ok.sum(axis=1) >= n_k
+        first = np.argsort(~ok[done], axis=1, kind="stable")[:, :n_k]
+        out[pending[done]] = np.take_along_axis(draws[done], first, axis=1)
+        pending = pending[~done]
+        # rows with few legal ids rarely fill a block; widen it so they
+        # still finish in a handful of rounds
+        width *= 2
     return out

@@ -252,8 +252,9 @@ def _incident_cv_pairs(g: DirectedProductGraph, endpoints: np.ndarray,
     pairs = g.cv_pairs
     if len(pairs) == 0:
         return pairs
-    mask = np.isin(pairs[:, 0], endpoints) | np.isin(pairs[:, 1], endpoints)
-    hit = pairs[mask]
+    touched = np.zeros(g.num_nodes, dtype=bool)
+    touched[endpoints] = True
+    hit = pairs[touched[pairs[:, 0]] | touched[pairs[:, 1]]]
     if len(hit) > cap:
         rng = derive_rng(rng_seed)
         sel = rng.choice(len(hit), size=cap, replace=False)
@@ -329,7 +330,7 @@ def train(g: DirectedProductGraph, features: np.ndarray, cfg: TrainConfig,
             blocks = sample_blocks(
                 g, seeds, cfg.fanouts,
                 rng_seed=derive_seed(cfg.root_seed, STREAM_BLOCKS, epoch, b))
-            emb = forward(blocks, features, params)
+            emb, tape = forward(blocks, features, params)
             batch = LossBatch(batch_edges, batch_flags, cv_sel, negatives)
             value = asymmetric_loss(emb, batch, weights=cfg.term_weights,
                                     negative_form=cfg.negative_form)
@@ -338,7 +339,7 @@ def train(g: DirectedProductGraph, features: np.ndarray, cfg: TrainConfig,
                     f"non-finite loss at epoch {epoch} batch {b}")
             gs, gt = loss_grad(emb, batch, weights=cfg.term_weights,
                                negative_form=cfg.negative_form)
-            grads = backward(blocks, features, params, gs, gt)
+            grads = backward(tape, params, gs, gt)
             adam_step(params, grads, state.adam,
                       cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
             epoch_loss += value.total

@@ -105,3 +105,60 @@ def brute_auc(pos, neg):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def loop_sample_rows(adj, nodes, cap, rng):
+    """One neighbor list at a time; over-cap rows keep a sorted
+    `rng.choice` sample of exactly `cap`. Returns (offsets, flat ids)."""
+    ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    chunks = []
+    for i, u in enumerate(nodes):
+        nbrs = adj.indices[adj.indptr[u]:adj.indptr[u + 1]]
+        if cap is not None and len(nbrs) > cap:
+            sel = rng.choice(len(nbrs), size=cap, replace=False)
+            nbrs = nbrs[np.sort(sel)]
+        ptr[i + 1] = ptr[i] + len(nbrs)
+        chunks.append(nbrs)
+    flat = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    return ptr, flat.astype(np.int64)
+
+
+def loop_sample_negatives(g, pos_edges, n_k, rng_seed=0,
+                          exclude_positives=True):
+    """Per-edge rejection loop: distinct uniform ids other than u and,
+    by default, u's co-purchase out-neighbors; with replacement from
+    whatever is allowed when fewer than n_k legal ids exist."""
+    pos = np.asarray(pos_edges, dtype=np.int64).reshape(-1, 2)
+    rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed)]))
+    n = g.num_nodes
+    out = np.empty((len(pos), n_k), dtype=np.int64)
+    for i, (u, _v) in enumerate(pos):
+        excl = {int(u)}
+        if exclude_positives:
+            excl |= set(int(z) for z in
+                        g.cp_out.indices[g.cp_out.indptr[u]:g.cp_out.indptr[u + 1]])
+        allowed = [z for z in range(n) if z not in excl]
+        if len(allowed) < n_k:
+            if not allowed:
+                allowed = [z for z in range(n) if z != u]
+            out[i] = rng.choice(allowed, size=n_k, replace=True)
+            continue
+        picked, seen = [], set()
+        while len(picked) < n_k:
+            for z in rng.integers(0, n, size=max(2 * (n_k - len(picked)), 8)):
+                z = int(z)
+                if z in excl or z in seen:
+                    continue
+                seen.add(z)
+                picked.append(z)
+                if len(picked) == n_k:
+                    break
+        out[i] = picked
+    return out
+
+
+def loop_one_way_mask(g, edges):
+    """Per-edge flag from a python set of co-purchase pairs: True iff the
+    reverse edge is absent."""
+    cp = set((int(u), int(v)) for u, v in g.cp_edges)
+    return np.array([(int(v), int(u)) not in cp for u, v in edges], dtype=bool)

@@ -75,9 +75,9 @@ def test_criterion_1_gradient_correctness(random_graph):
     negatives = sample_negatives(g, edges, 2, rng_seed=5)
     batch = LossBatch(edges, one_way_mask(g, edges), g.cv_pairs, negatives)
     blocks = full_blocks(g, np.arange(20), 2)
-    emb = forward(blocks, X, params)
+    emb, tape = forward(blocks, X, params)
     gs, gt = loss_grad(emb, batch)
-    analytic = backward(blocks, X, params, gs, gt)
+    analytic = backward(tape, params, gs, gt)
 
     h = 1e-5
     max_rel = 0.0
@@ -86,9 +86,9 @@ def test_criterion_1_gradient_correctness(random_graph):
             for j in range(w.shape[1]):
                 orig = w[i, j]
                 w[i, j] = orig + h
-                lp = asymmetric_loss(forward(blocks, X, params), batch).total
+                lp = asymmetric_loss(forward(blocks, X, params)[0], batch).total
                 w[i, j] = orig - h
-                lm = asymmetric_loss(forward(blocks, X, params), batch).total
+                lm = asymmetric_loss(forward(blocks, X, params)[0], batch).total
                 w[i, j] = orig
                 fd = (lp - lm) / (2 * h)
                 rel = abs(analytic[l][i, j] - fd) / max(abs(fd), 1e-6)
@@ -103,7 +103,7 @@ def test_criterion_2_forward_fidelity():
     """Hand-computed single-edge outputs and the zero-guard case."""
     g = build_graph([(0, 1)], [], 2)
     X = np.array([[1.0, 1.0], [1.0, 0.0]])
-    emb = forward(full_blocks(g, [0, 1], 1), X, ModelParams([np.eye(2)]))
+    emb, _ = forward(full_blocks(g, [0, 1], 1), X, ModelParams([np.eye(2)]))
     ok = (np.allclose(emb.theta_s[0], [1.0, 0.0], atol=1e-6)
           and np.allclose(emb.theta_t[1], [1 / np.sqrt(2), 1 / np.sqrt(2)],
                           atol=1e-6)
@@ -112,8 +112,8 @@ def test_criterion_2_forward_fidelity():
 
     g_iso = build_graph([(1, 2)], [], 4)
     params = ModelParams.init(2, 3, 2, np.random.default_rng(0))
-    emb_iso = forward(full_blocks(g_iso, [0], 2),
-                      np.ones((4, 2)), params)
+    emb_iso, _ = forward(full_blocks(g_iso, [0], 2),
+                         np.ones((4, 2)), params)
     ok = ok and np.array_equal(emb_iso.theta_s[0], np.zeros(3)) \
         and np.array_equal(emb_iso.theta_t[0], np.zeros(3))
     report("criterion-2 forward-fidelity", ok,

@@ -9,6 +9,13 @@ PKG_ROOT = Path(__file__).parent.parent
 
 
 def run_cli(*args, **kw):
+    env = kw.get("env")
+    if env is not None:
+        # an explicit env replaces the parent's, so keep the source tree
+        # importable without an installed package
+        src = str(PKG_ROOT / "src")
+        old = env.get("PYTHONPATH")
+        kw["env"] = {**env, "PYTHONPATH": f"{src}:{old}" if old else src}
     return subprocess.run([sys.executable, "-m", "asymgraph", *args],
                           capture_output=True, text=True, cwd=PKG_ROOT, **kw)
 

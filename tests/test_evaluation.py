@@ -179,7 +179,7 @@ class TestMetrics:
         from asymgraph.model import ModelParams, forward
         from asymgraph.sampler import full_blocks
         g, X = single_edge_graph
-        emb = forward(full_blocks(g, [0, 1], 1), X, ModelParams([np.eye(2)]))
+        emb, _ = forward(full_blocks(g, [0, 1], 1), X, ModelParams([np.eye(2)]))
         assert auc_direction(g, g.cp_edges, emb) == 1.0
 
     def test_sample_non_edges_valid(self, random_graph):

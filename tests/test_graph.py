@@ -5,7 +5,8 @@ from asymgraph.errors import DataFormatError
 from asymgraph.graph import (Direction, KeyMap, RelationKind, build_graph,
                              dump_edge_file, graph_stats, load_edge_file,
                              load_feature_file, one_way_cp_edges,
-                             dump_feature_file)
+                             one_way_mask, dump_feature_file)
+from reference import loop_one_way_mask
 
 
 def test_single_cp_edge():
@@ -41,6 +42,18 @@ def test_one_way_empty():
 def test_one_way_cycle():
     g = build_graph([(0, 1), (1, 2), (2, 0)], [], 3)
     assert one_way_cp_edges(g).tolist() == [[0, 1], [1, 2], [2, 0]]
+
+
+def test_one_way_mask_matches_loop_oracle(random_graph):
+    g, _ = random_graph(num_nodes=12, num_cp=80, num_cv=0, seed=15)
+    # graph edges plus arbitrary pairs, some absent from the graph
+    pairs = np.random.default_rng(1).integers(0, 12, size=(60, 2))
+    for edges in (g.cp_edges, pairs, pairs[:0]):
+        got = one_way_mask(g, edges)
+        assert got.dtype == bool
+        assert np.array_equal(got, loop_one_way_mask(g, edges))
+    empty = build_graph([], [], 4)
+    assert one_way_mask(empty, pairs % 4).all()
 
 
 def test_neighbors_accessor():

@@ -19,7 +19,7 @@ class TestForward:
         of 0 picks up node 1's feature, the target of 1 node 0's."""
         g, X = single_edge_graph
         params = ModelParams([np.eye(2)])
-        emb = forward(full_blocks(g, [0, 1], 1), X, params)
+        emb, _ = forward(full_blocks(g, [0, 1], 1), X, params)
         assert np.allclose(emb.theta_s[0], [1.0, 0.0], atol=1e-12)
         assert np.allclose(emb.theta_t[1], [np.sqrt(0.5), np.sqrt(0.5)],
                            atol=1e-12)
@@ -30,7 +30,7 @@ class TestForward:
         g = build_graph([(1, 2)], [], 4)
         X = np.ones((4, 3))
         params = ModelParams.init(3, 5, 2, np.random.default_rng(0))
-        emb = forward(full_blocks(g, [0], 2), X, params)
+        emb, _ = forward(full_blocks(g, [0], 2), X, params)
         assert np.array_equal(emb.theta_s[0], np.zeros(5))
         assert np.array_equal(emb.theta_t[0], np.zeros(5))
 
@@ -41,7 +41,7 @@ class TestForward:
         g = build_graph([], [(0, 1)], 2)
         X = np.stack([x, x])
         params = ModelParams([np.eye(3)])
-        emb = forward(full_blocks(g, [0, 1], 1), X, params)
+        emb, _ = forward(full_blocks(g, [0, 1], 1), X, params)
         expected = np.maximum(x, 0.0)
         expected = expected / np.linalg.norm(expected)
         for row in (emb.theta_s[0], emb.theta_s[1],
@@ -51,7 +51,7 @@ class TestForward:
     def test_matches_naive_reference(self, random_graph):
         g, X = random_graph(num_nodes=18, num_cp=45, num_cv=20, d_in=4, seed=8)
         params = ModelParams.init(4, 6, 3, np.random.default_rng(1))
-        emb = forward(full_blocks(g, np.arange(18), 3), X, params)
+        emb, _ = forward(full_blocks(g, np.arange(18), 3), X, params)
         ref_s, ref_t = naive_dual_embeddings(
             18, g.cp_edges, g.cv_pairs, X, params.weights)
         assert np.allclose(emb.theta_s, ref_s, atol=1e-10)
@@ -60,7 +60,7 @@ class TestForward:
     def test_unit_norm_invariant(self, random_graph):
         g, X = random_graph(num_nodes=30, num_cp=90, num_cv=40, seed=3)
         params = ModelParams.init(5, 8, 2, np.random.default_rng(2))
-        emb = forward(full_blocks(g, np.arange(30), 2), X, params)
+        emb, _ = forward(full_blocks(g, np.arange(30), 2), X, params)
         for mat in (emb.theta_s, emb.theta_t):
             norms = np.linalg.norm(mat, axis=1)
             nonzero = norms > 0
@@ -69,9 +69,9 @@ class TestForward:
     def test_sampled_equals_full_when_fanout_slack(self, random_graph):
         g, X = random_graph(num_nodes=12, num_cp=25, num_cv=10, seed=6)
         params = ModelParams.init(5, 4, 2, np.random.default_rng(3))
-        full = forward(full_blocks(g, np.arange(12), 2), X, params)
-        sampled = forward(sample_blocks(g, np.arange(12), [100, 100],
-                                        rng_seed=5), X, params)
+        full, _ = forward(full_blocks(g, np.arange(12), 2), X, params)
+        sampled, _ = forward(sample_blocks(g, np.arange(12), [100, 100],
+                                           rng_seed=5), X, params)
         assert np.allclose(full.theta_s, sampled.theta_s, atol=1e-12)
         assert np.allclose(full.theta_t, sampled.theta_t, atol=1e-12)
 
@@ -85,8 +85,8 @@ class TestForward:
         g_p = build_graph(cp_p, cv_p, 10)
         X_p = np.empty_like(X)
         X_p[perm] = X
-        emb = forward(full_blocks(g, np.arange(10), 2), X, params)
-        emb_p = forward(full_blocks(g_p, np.arange(10), 2), X_p, params)
+        emb, _ = forward(full_blocks(g, np.arange(10), 2), X, params)
+        emb_p, _ = forward(full_blocks(g_p, np.arange(10), 2), X_p, params)
         assert np.allclose(emb.theta_s[np.argsort(perm)][perm],
                            emb.theta_s, atol=0)  # sanity on indexing
         assert np.allclose(emb_p.theta_s[perm], emb.theta_s, atol=1e-12)
@@ -95,8 +95,8 @@ class TestForward:
     def test_deterministic_across_runs(self, random_graph):
         g, X = random_graph(seed=1)
         params = ModelParams.init(5, 4, 2, np.random.default_rng(5))
-        a = forward(sample_blocks(g, np.arange(20), [3, 3], 9), X, params)
-        b = forward(sample_blocks(g, np.arange(20), [3, 3], 9), X, params)
+        a, _ = forward(sample_blocks(g, np.arange(20), [3, 3], 9), X, params)
+        b, _ = forward(sample_blocks(g, np.arange(20), [3, 3], 9), X, params)
         assert np.array_equal(a.theta_s, b.theta_s)
         assert np.array_equal(a.theta_t, b.theta_t)
 
@@ -111,8 +111,8 @@ class TestBackward:
     def test_zero_loss_grads_give_zero(self, random_graph):
         g, X = random_graph(seed=2)
         params = ModelParams.init(5, 4, 2, np.random.default_rng(6))
-        blocks = full_blocks(g, np.arange(20), 2)
-        grads = backward(blocks, X, params,
+        _, tape = forward(full_blocks(g, np.arange(20), 2), X, params)
+        grads = backward(tape, params,
                          np.zeros((20, 4)), np.zeros((20, 4)))
         for gmat in grads:
             assert np.array_equal(gmat, np.zeros_like(gmat))
@@ -124,12 +124,12 @@ class TestBackward:
         g, X = single_edge_graph
         params = ModelParams([np.eye(2)])
         blocks = full_blocks(g, [0, 1], 1)
-        emb = forward(blocks, X, params)
+        emb, tape = forward(blocks, X, params)
         gs = np.zeros((2, 2))
         gt = np.zeros((2, 2))
         gs[0] = emb.theta_t[1]
         gt[1] = emb.theta_s[0]
-        grads = backward(blocks, X, params, gs, gt)
+        grads = backward(tape, params, gs, gt)
         expected = np.outer([1.0, 1.0], [0.5, -0.5]) / np.sqrt(2.0)
         assert np.allclose(grads[0], expected, atol=1e-12)
 
@@ -142,9 +142,9 @@ class TestBackward:
         batch = LossBatch(edges, one_way_mask(g, edges), g.cv_pairs, negs)
         blocks = full_blocks(g, np.arange(20), 2)
 
-        emb = forward(blocks, X, params)
+        emb, tape = forward(blocks, X, params)
         gs, gt = loss_grad(emb, batch)
-        analytic = backward(blocks, X, params, gs, gt)
+        analytic = backward(tape, params, gs, gt)
 
         h = 1e-5
         max_rel = 0.0
@@ -153,14 +153,40 @@ class TestBackward:
                 for j in range(w.shape[1]):
                     orig = w[i, j]
                     w[i, j] = orig + h
-                    lp = asymmetric_loss(forward(blocks, X, params), batch).total
+                    lp = asymmetric_loss(forward(blocks, X, params)[0], batch).total
                     w[i, j] = orig - h
-                    lm = asymmetric_loss(forward(blocks, X, params), batch).total
+                    lm = asymmetric_loss(forward(blocks, X, params)[0], batch).total
                     w[i, j] = orig
                     fd = (lp - lm) / (2 * h)
                     rel = abs(analytic[l][i, j] - fd) / max(abs(fd), 1e-6)
                     max_rel = max(max_rel, rel)
         assert max_rel < 1e-4
+
+
+    def test_tape_grads_equal_fresh_forward(self, random_graph):
+        """Grads from the step's own tape are bit-identical to grads from
+        a recomputed forward, and backward leaves the tape reusable."""
+        g, X = random_graph(num_nodes=20, num_cp=40, num_cv=15, d_in=5, seed=0)
+        params = ModelParams.init(5, 4, 3, np.random.default_rng(3))
+        edges = g.cp_edges
+        negs = sample_negatives(g, edges, 2, rng_seed=5)
+        batch = LossBatch(edges, one_way_mask(g, edges), g.cv_pairs, negs)
+        blocks = sample_blocks(g, np.arange(20), [3, 3, 3], rng_seed=2)
+        emb, tape = forward(blocks, X, params)
+        gs, gt = loss_grad(emb, batch)
+        from_tape = backward(tape, params, gs, gt)
+        fresh = backward(forward(blocks, X, params)[1], params, gs, gt)
+        again = backward(tape, params, gs, gt)
+        for a, b, c in zip(from_tape, fresh, again):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+
+    def test_tape_layer_mismatch_rejected(self, random_graph):
+        g, X = random_graph(seed=2)
+        params = ModelParams.init(5, 4, 2, np.random.default_rng(6))
+        _, tape = forward(full_blocks(g, np.arange(20), 2), X, params)
+        other = ModelParams.init(5, 4, 3, np.random.default_rng(6))
+        with pytest.raises(ValueError, match="layers"):
+            backward(tape, other, np.zeros((20, 4)), np.zeros((20, 4)))
 
 
 class TestEmbedAll:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from asymgraph import sampler
 from asymgraph.graph import build_graph
 from asymgraph.sampler import (SOURCE, TARGET, full_blocks, sample_blocks,
                                sample_negatives)
+from reference import loop_sample_negatives, loop_sample_rows
 
 
 def star_graph(out_degree):
@@ -90,6 +92,89 @@ def test_isolated_seed_empty_frontiers():
     blocks = sample_blocks(g, [0], [5], rng_seed=0)
     assert blocks.levels[1][SOURCE].cp_nbrs.size == 0
     assert blocks.levels[1][TARGET].cp_nbrs.size == 0
+
+
+def _adjacencies(g):
+    return (g.cp_out, g.cp_in, g.cv_out, g.cv_in)
+
+
+def test_uncapped_rows_match_loop_oracle(random_graph):
+    g, _ = random_graph(num_nodes=40, num_cp=150, num_cv=60, seed=11)
+    nodes = np.random.default_rng(0).integers(0, 40, size=60)
+    for adj in _adjacencies(g):
+        max_deg = int(np.diff(adj.indptr).max())
+        for cap in (None, max_deg):
+            rng = np.random.default_rng(5)
+            before = rng.bit_generator.state
+            got = sampler._sample_rows(adj, nodes, cap, rng)
+            want = loop_sample_rows(adj, nodes, cap, np.random.default_rng(5))
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert rng.bit_generator.state == before  # nothing drawn
+
+
+def test_full_blocks_match_loop_oracle(random_graph, monkeypatch):
+    g, _ = random_graph(num_nodes=40, num_cp=150, num_cv=60, seed=12)
+    got = full_blocks(g, [0, 3, 17, 39], 3)
+    monkeypatch.setattr(sampler, "_sample_rows", loop_sample_rows)
+    want = full_blocks(g, [0, 3, 17, 39], 3)
+    for lvl_got, lvl_want in zip(got.levels, want.levels):
+        for ch in (SOURCE, TARGET):
+            for name in ("nodes", "cp_ptr", "cp_nbrs", "cp_rows",
+                         "cv_ptr", "cv_nbrs", "cv_rows"):
+                x = getattr(lvl_got[ch], name)
+                y = getattr(lvl_want[ch], name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_capped_rows_are_sorted_distinct_subsets(random_graph):
+    g, _ = random_graph(num_nodes=30, num_cp=300, num_cv=120, seed=13)
+    nodes = np.arange(30)
+    rng = np.random.default_rng(2)
+    for adj in _adjacencies(g):
+        for cap in (1, 3, 7):
+            ptr, flat = sampler._sample_rows(adj, nodes, cap, rng)
+            for i, u in enumerate(nodes):
+                full = adj.neighbors(u)
+                row = flat[ptr[i]:ptr[i + 1]]
+                assert len(row) == min(len(full), cap)
+                assert np.all(np.diff(row) > 0)
+                assert np.isin(row, full).all()
+
+
+def test_capped_star_row_uniform_chi_square():
+    """Each of 30 leaves of an over-cap star row is kept with
+    probability cap/30; the chi-square statistic over 20000 rows must sit
+    below the 99.9% quantile (29 degrees of freedom)."""
+    from scipy.stats import chi2
+
+    g = star_graph(30)
+    cap, repeats = 5, 20000
+    ptr, flat = sampler._sample_rows(g.cp_out, np.zeros(repeats, dtype=np.int64),
+                                     cap, np.random.default_rng(321))
+    assert np.all(np.diff(ptr) == cap)
+    counts = np.bincount(flat, minlength=31)[1:]
+    expected = repeats * cap / 30
+    stat = float(np.sum((counts - expected) ** 2 / expected))
+    assert stat < chi2.ppf(0.999, df=29)
+
+
+def test_negatives_match_loop_oracle_where_forced(random_graph):
+    """Where a row's legal set is exactly n_k ids both samplers must
+    return that set; elsewhere both draw only from it."""
+    edges = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 3), (2, 4)]
+    g = build_graph(edges, [], 5)
+    got = sample_negatives(g, edges, 2, rng_seed=3)
+    want = loop_sample_negatives(g, edges, 2, rng_seed=3)
+    assert [sorted(r) for r in got.tolist()] == [sorted(r) for r in want.tolist()]
+
+    g, _ = random_graph(num_nodes=12, num_cp=50, seed=14)
+    edges = np.repeat(g.cp_edges, 40, axis=0)
+    got = sample_negatives(g, edges, 3, rng_seed=4)
+    want = loop_sample_negatives(g, edges, 3, rng_seed=4)
+    for u in np.unique(edges[:, 0]):
+        rows = edges[:, 0] == u
+        assert set(got[rows].ravel()) == set(want[rows].ravel())
 
 
 def test_negatives_forced_choice():

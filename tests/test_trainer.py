@@ -6,9 +6,11 @@ import pytest
 
 from asymgraph.errors import DataFormatError, NumericalError
 from asymgraph.graph import build_graph
+from asymgraph import model
 from asymgraph.model import ModelParams, embed_all
-from asymgraph.trainer import (AdamState, TrainConfig, adam_step, load_config,
-                               resume, save_config, save_train_state, train)
+from asymgraph.trainer import (AdamState, TrainConfig, _incident_cv_pairs,
+                               adam_step, load_config, resume, save_config,
+                               save_train_state, train)
 from asymgraph.util import STREAM_INIT, derive_rng
 
 TOY_CFG = dict(batch_size=16, num_layers=1, embed_dim=4, fanouts=(4,),
@@ -228,3 +230,31 @@ def test_validation_early_stopping(random_graph):
     # best checkpoint corresponds to the best recorded validation metric
     best = max(h.val_mrr10 for h in result.history)
     assert result.state.best_metric == pytest.approx(best)
+
+
+def test_one_step_runs_one_forward(small, monkeypatch):
+    """backward reuses the forward tape instead of recomputing it."""
+    g, X, cfg = small
+    calls = []
+    real = model._forward_cached
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_forward_cached", counting)
+    one_batch = dataclasses.replace(cfg, max_epochs=1,
+                                    batch_size=len(g.cp_edges))
+    train(g, X, one_batch)
+    assert len(calls) == 1
+
+
+def test_incident_cv_pairs_matches_set_filter(random_graph):
+    g, _ = random_graph(num_nodes=25, num_cp=30, num_cv=80, seed=16)
+    endpoints = np.array([1, 4, 9, 20])
+    picked = set(endpoints.tolist())
+    want = [p for p in g.cv_pairs.tolist() if p[0] in picked or p[1] in picked]
+    got = _incident_cv_pairs(g, endpoints, cap=1000, rng_seed=0)
+    assert got.tolist() == want
+    capped = _incident_cv_pairs(g, endpoints, cap=3, rng_seed=0)
+    assert len(capped) == 3 and all(p in want for p in capped.tolist())
