@@ -1,8 +1,11 @@
 """Cold-start embedding: attach a new product to feature-similar warm
 products and run the trained model over the augmented neighborhood.
 
-The base graph and warm embeddings are never touched; each request works
-against a private overlay, so concurrent cold products cannot interact.
+Each request splices the cold product into a private overlay of the base
+graph (`attach_node`): only the adjacencies that gain edges are copied,
+the rest are shared read-only, and nothing is rebuilt or re-sorted. The
+base graph and warm embeddings are never touched, so concurrent cold
+products cannot interact.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import retrieval
-from .graph import DirectedProductGraph, build_graph
+from .graph import DirectedProductGraph, attach_node
 from .model import ModelParams, forward
 from .sampler import full_blocks
 
@@ -54,9 +57,16 @@ def find_warm_neighbors(features: np.ndarray, vec: np.ndarray, k_sim: int,
         mask = np.zeros(len(cos), dtype=bool)
         mask[eligible] = True
         cos = np.where(mask, cos, -np.inf)
-    order = np.lexsort((np.arange(len(cos)), -cos))
-    order = order[~np.isneginf(cos[order])]
-    return order[: min(k_sim, len(order))].astype(np.int64)
+    pool = np.flatnonzero(~np.isneginf(cos))
+    k = min(k_sim, len(pool))
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    # Only scores at or above the k-th largest can be picked; `~(<)` also
+    # keeps NaN rows, which sort after every number as in a full sort.
+    scores = cos[pool]
+    kth = -np.partition(-scores, k - 1)[k - 1]
+    cand = pool[~(scores < kth)]
+    return cand[np.lexsort((cand, -cos[cand]))[:k]].astype(np.int64)
 
 
 def attach_and_embed(g: DirectedProductGraph, features: np.ndarray,
@@ -74,16 +84,10 @@ def attach_and_embed(g: DirectedProductGraph, features: np.ndarray,
     if len(warm) == 0:
         raise ValueError("no eligible warm products to attach to")
     cold_id = g.num_nodes
-    extra = np.stack([np.full(len(warm), cold_id, dtype=np.int64), warm], axis=1)
     if req.relation == "cv":
-        overlay = build_graph(g.cp_edges,
-                              np.concatenate([g.cv_pairs, extra]) if len(g.cv_pairs)
-                              else extra,
-                              g.num_nodes + 1)
+        overlay = attach_node(g, cv_nbrs=warm)
     else:
-        overlay = build_graph(np.concatenate([g.cp_edges, extra]) if len(g.cp_edges)
-                              else extra,
-                              g.cv_pairs, g.num_nodes + 1)
+        overlay = attach_node(g, cp_targets=warm)
     aug_features = np.vstack([features, req.features[None, :]])
     blocks = full_blocks(overlay, [cold_id], params.num_layers)
     emb, _ = forward(blocks, aug_features, params)

@@ -85,28 +85,33 @@ class Adjacency:
         return bool(i < len(row) and row[i] == v)
 
 
-def _csr_from_pairs(pairs: np.ndarray, num_nodes: int) -> Adjacency:
-    if len(pairs) == 0:
-        return Adjacency(np.zeros(num_nodes + 1, dtype=np.int64),
-                         np.empty(0, dtype=np.int64))
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    pairs = pairs[order]
-    counts = np.bincount(pairs[:, 0], minlength=num_nodes)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    return Adjacency(indptr, pairs[:, 1].astype(np.int64))
+def _csr_from_keys(keys: np.ndarray, num_nodes: int) -> Adjacency:
+    """CSR from sorted distinct `u * num_nodes + v` keys."""
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // num_nodes, minlength=num_nodes),
+              out=indptr[1:])
+    return Adjacency(indptr, keys % num_nodes)
 
 
-def _unique_pairs(pairs) -> np.ndarray:
-    """Deduplicate directed pairs and drop self-loops; returns (m, 2) int64."""
+def _pairs_of(keys: np.ndarray, num_nodes: int) -> np.ndarray:
+    return np.stack([keys // num_nodes, keys % num_nodes], axis=1)
+
+
+def _reversed_keys(pairs: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Sorted `v * num_nodes + u` keys of the (u, v) pairs."""
+    return np.sort(pairs[:, 1] * num_nodes + pairs[:, 0])
+
+
+def _checked_pairs(pairs, num_nodes: int, name: str) -> np.ndarray:
+    """Pairs as (m, 2) int64 with self-loops dropped and ids range-checked."""
     arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
                      dtype=np.int64)
-    if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
     arr = arr.reshape(-1, 2)
     arr = arr[arr[:, 0] != arr[:, 1]]
-    if len(arr) == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.unique(arr, axis=0)
+    if len(arr) and (arr.min() < 0 or arr.max() >= num_nodes):
+        raise DataFormatError(
+            f"{name} pair references id outside [0, {num_nodes})")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -115,11 +120,15 @@ class DirectedProductGraph:
     cp_out: Adjacency
     cp_in: Adjacency
     cv_out: Adjacency
-    cv_in: Adjacency
     # Canonical edge lists: cp directed pairs sorted by (u, v); cv stored
     # once per unordered pair with u < v.
     cp_edges: np.ndarray = field(repr=False)
     cv_pairs: np.ndarray = field(repr=False)
+
+    @property
+    def cv_in(self) -> Adjacency:
+        """Co-view is symmetric, so in-neighbors are the out-neighbors."""
+        return self.cv_out
 
     @property
     def num_cp_edges(self) -> int:
@@ -150,32 +159,85 @@ def build_graph(cp_pairs, cv_pairs, num_nodes: int) -> DirectedProductGraph:
     """Build the graph from dense-id pairs.
 
     Duplicates and self-pairs are tolerated in the input; cv pairs are
-    symmetrized so both traversal directions are materialized.
+    symmetrized so both traversal directions are materialized. Pairs are
+    deduplicated and ordered as sorted `u * num_nodes + v` keys, from
+    which every CSR is counted out directly.
     """
-    cp = _unique_pairs(cp_pairs)
-    cv_one = _unique_pairs(cv_pairs)
-    for arr, name in ((cp, "co-purchase"), (cv_one, "co-view")):
-        if len(arr) and (arr.min() < 0 or arr.max() >= num_nodes):
-            raise DataFormatError(
-                f"{name} pair references id outside [0, {num_nodes})")
-    # canonical unordered cv pairs
-    if len(cv_one):
-        lo = np.minimum(cv_one[:, 0], cv_one[:, 1])
-        hi = np.maximum(cv_one[:, 0], cv_one[:, 1])
-        cv_pairs_u = np.unique(np.stack([lo, hi], axis=1), axis=0)
-        cv_both = np.concatenate([cv_pairs_u, cv_pairs_u[:, ::-1]], axis=0)
-    else:
-        cv_pairs_u = np.empty((0, 2), dtype=np.int64)
-        cv_both = cv_pairs_u
+    n = num_nodes
+    cp = _checked_pairs(cp_pairs, n, "co-purchase")
+    cv = _checked_pairs(cv_pairs, n, "co-view")
+    cp_keys = np.unique(cp[:, 0] * n + cp[:, 1])
+    cv_keys = np.unique(cv.min(axis=1) * n + cv.max(axis=1))  # u < v
+    cp_edges, cv_pairs_u = _pairs_of(cp_keys, n), _pairs_of(cv_keys, n)
     return DirectedProductGraph(
-        num_nodes=num_nodes,
-        cp_out=_csr_from_pairs(cp, num_nodes),
-        cp_in=_csr_from_pairs(cp[:, ::-1] if len(cp) else cp, num_nodes),
-        cv_out=_csr_from_pairs(cv_both, num_nodes),
-        cv_in=_csr_from_pairs(cv_both[:, ::-1] if len(cv_both) else cv_both,
-                              num_nodes),
-        cp_edges=cp,
+        num_nodes=n,
+        cp_out=_csr_from_keys(cp_keys, n),
+        cp_in=_csr_from_keys(_reversed_keys(cp_edges, n), n),
+        cv_out=_csr_from_keys(np.sort(np.concatenate(
+            [cv_keys, _reversed_keys(cv_pairs_u, n)])), n),
+        cp_edges=cp_edges,
         cv_pairs=cv_pairs_u,
+    )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    v = a.view()
+    v.flags.writeable = False
+    return v
+
+
+def _splice(adj: Adjacency, rows: np.ndarray, new_row: np.ndarray) -> Adjacency:
+    """Add node n = len(indptr) - 1: append n to each of `rows` (sorted,
+    distinct) and append row n holding `new_row` (sorted, distinct).
+
+    n exceeds every stored id, so it belongs at the end of each row it
+    joins. An adjacency that gains nothing shares its indices.
+    """
+    n = len(adj.indptr) - 1
+    if len(rows) == 0 and len(new_row) == 0:
+        return Adjacency(np.append(adj.indptr, adj.indptr[-1]),
+                         _read_only(adj.indices))
+    indptr = adj.indptr.copy()
+    indptr[1:] += np.cumsum(np.bincount(rows, minlength=n))
+    indices = np.insert(adj.indices, adj.indptr[rows + 1], n)
+    return Adjacency(np.append(indptr, indptr[-1] + len(new_row)),
+                     np.concatenate([indices, new_row]))
+
+
+def attach_node(g: DirectedProductGraph, cv_nbrs=(),
+                cp_targets=()) -> DirectedProductGraph:
+    """The graph plus one new node n = g.num_nodes, without a rebuild.
+
+    The new node gets co-view pairs with `cv_nbrs` and co-purchase edges
+    n -> w for w in `cp_targets`. Every array equals what `build_graph`
+    gives for the extended pair lists; arrays that do not change are
+    shared with `g` as read-only views, and `g` itself is untouched.
+    """
+    n = g.num_nodes
+    cv_w = np.unique(np.asarray(cv_nbrs, dtype=np.int64))
+    cp_w = np.unique(np.asarray(cp_targets, dtype=np.int64))
+    for w, name in ((cv_w, "co-view"), (cp_w, "co-purchase")):
+        if len(w) and (w[0] < 0 or w[-1] >= n):
+            raise DataFormatError(
+                f"{name} neighbor id outside [0, {n})")
+    cp_edges = _read_only(g.cp_edges)
+    if len(cp_w):
+        cp_edges = np.concatenate(
+            [g.cp_edges, np.stack([np.full(len(cp_w), n), cp_w], axis=1)])
+    cv_pairs = _read_only(g.cv_pairs)
+    if len(cv_w):
+        at = np.searchsorted(g.cv_pairs[:, 0], cv_w, side="right")
+        cv_pairs = np.insert(g.cv_pairs, at,
+                             np.stack([cv_w, np.full(len(cv_w), n)], axis=1),
+                             axis=0)
+    empty = np.empty(0, dtype=np.int64)
+    return DirectedProductGraph(
+        num_nodes=n + 1,
+        cp_out=_splice(g.cp_out, empty, cp_w),
+        cp_in=_splice(g.cp_in, cp_w, empty),
+        cv_out=_splice(g.cv_out, cv_w, cv_w),
+        cp_edges=cp_edges,
+        cv_pairs=cv_pairs,
     )
 
 

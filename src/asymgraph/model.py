@@ -22,7 +22,7 @@ from .errors import DataFormatError, NumericalError
 from .graph import DirectedProductGraph, KeyMap
 from .sampler import (SOURCE, TARGET, ComputationBlocks, full_blocks,
                       sample_blocks)
-from .util import fmt_float
+from .util import atomic_write, fmt_float
 
 CHECKPOINT_MAGIC = b"ASYMGEMB"
 CHECKPOINT_VERSION = 1
@@ -257,8 +257,8 @@ def embed_all(g: DirectedProductGraph, features: np.ndarray,
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Binary checkpoint: magic, version, dims, then little-endian float64
-    weight matrices in row-major order."""
-    with open(path, "wb") as f:
+    weight matrices in row-major order. Written atomically."""
+    with atomic_write(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<IIII", CHECKPOINT_VERSION, params.num_layers,
                             params.input_dim, params.embed_dim))
@@ -292,9 +292,10 @@ def load_checkpoint(path) -> ModelParams:
 
 def dump_embeddings(emb: DualEmbeddings, key_map: KeyMap, path) -> None:
     """Text dump: header `<num_nodes>\\t<dim>`, then one line per product
-    `<key>\\tS:<floats>\\tT:<floats>` with comma-separated values."""
+    `<key>\\tS:<floats>\\tT:<floats>` with comma-separated values.
+    Written atomically."""
     n, d = emb.theta_s.shape
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write(f"{n}\t{d}\n")
         for i, node in enumerate(emb.nodes):
             s = ",".join(fmt_float(x) for x in emb.theta_s[i])
@@ -303,11 +304,18 @@ def dump_embeddings(emb: DualEmbeddings, key_map: KeyMap, path) -> None:
 
 
 def load_embeddings(path) -> tuple[DualEmbeddings, KeyMap]:
+    """Read a `dump_embeddings` file. Malformed input (bad header, ragged
+    or non-numeric rows, non-finite values, duplicate keys, a row count
+    that disagrees with the header) raises DataFormatError naming the
+    line."""
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n").split("\t")
-        if len(header) != 2:
-            raise DataFormatError(f"{path}: bad embedding header")
-        n, d = int(header[0]), int(header[1])
+        try:
+            n, d = map(int, header)
+        except ValueError:
+            n = d = -1
+        if n < 0 or d < 0:
+            raise DataFormatError(f"{path}: bad embedding header on line 1")
         km = KeyMap()
         theta_s = np.empty((n, d))
         theta_t = np.empty((n, d))
@@ -320,9 +328,29 @@ def load_embeddings(path) -> tuple[DualEmbeddings, KeyMap]:
             if len(parts) != 3 or not parts[1].startswith("S:") \
                     or not parts[2].startswith("T:"):
                 raise DataFormatError(f"{path}: bad embedding line {lineno}")
+            if count >= n:
+                raise DataFormatError(
+                    f"{path}: line {lineno} is beyond the {n} rows the "
+                    f"header declares")
+            if parts[0] in km:
+                raise DataFormatError(
+                    f"{path}: duplicate key {parts[0]!r} on line {lineno}")
+            try:
+                s = np.array(parts[1][2:].split(","), dtype=np.float64)
+                t = np.array(parts[2][2:].split(","), dtype=np.float64)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: bad floats on line {lineno}") from None
+            if len(s) != d or len(t) != d:
+                raise DataFormatError(
+                    f"{path}: line {lineno} has {len(s)} S and {len(t)} T "
+                    f"values, expected {d}")
+            if not (np.isfinite(s).all() and np.isfinite(t).all()):
+                raise DataFormatError(
+                    f"{path}: non-finite value on line {lineno}")
             km.add(parts[0])
-            theta_s[count] = np.array(parts[1][2:].split(","), dtype=np.float64)
-            theta_t[count] = np.array(parts[2][2:].split(","), dtype=np.float64)
+            theta_s[count] = s
+            theta_t[count] = t
             count += 1
         if count != n:
             raise DataFormatError(

@@ -23,7 +23,7 @@ from .model import (ModelParams, backward, embed_all, forward,
                     save_checkpoint)
 from .sampler import sample_blocks, sample_negatives
 from .util import (STREAM_BLOCKS, STREAM_COVIEW, STREAM_INIT,
-                   STREAM_NEGATIVES, STREAM_SHUFFLE, derive_rng)
+                   STREAM_NEGATIVES, STREAM_SHUFFLE, atomic_write, derive_rng)
 
 STATE_MAGIC = b"ASYMGTRN"
 STATE_VERSION = 1
@@ -188,8 +188,9 @@ def _read_matrix(f, rows: int, cols: int, path) -> np.ndarray:
 
 
 def save_train_state(state: TrainState, path) -> None:
+    """Binary training state, written atomically."""
     p = state.params
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(STATE_MAGIC)
         f.write(struct.pack("<IIII", STATE_VERSION, p.num_layers,
                             p.input_dim, p.embed_dim))

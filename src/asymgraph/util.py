@@ -1,8 +1,12 @@
-"""Small shared helpers: seeded RNG derivation, file digests, float formatting."""
+"""Small shared helpers: seeded RNG derivation, file digests, float
+formatting, atomic file replacement."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -42,3 +46,26 @@ def sha256_file(path: str | Path) -> str:
 def fmt_float(x: float) -> str:
     """Round-trippable, locale-independent float formatting for text dumps."""
     return format(float(x), ".17g")
+
+
+@contextlib.contextmanager
+def atomic_write(path: str | Path, mode: str = "w"):
+    """Open a temp file beside `path` for writing; on success it replaces
+    `path` in one `os.replace`, on any error it is removed.
+
+    Readers see either the old file or the complete new one, never a
+    partial write. `mode` is "w" (UTF-8 text) or "wb".
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    encoding = None if "b" in mode else "utf-8"
+    f = open(tmp, mode.replace("w", "x"), encoding=encoding)
+    try:
+        with f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

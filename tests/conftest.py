@@ -3,11 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from asymgraph.graph import build_graph
 from asymgraph.synth import SynthConfig, generate
+
+# No example database on disk; numpy set-up makes first examples slow.
+settings.register_profile("asymgraph", database=None, deadline=None)
+settings.load_profile("asymgraph")
 
 
 @pytest.fixture

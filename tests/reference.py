@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is written with plain python loops and dictionaries,
-deliberately sharing no code with the package's vectorized paths.
+Everything here is written with plain python loops and dictionaries, or
+is the package's earlier, slower code kept verbatim, deliberately sharing
+no code with the package's vectorized paths.
 """
 
 import math
@@ -162,3 +163,82 @@ def loop_one_way_mask(g, edges):
     reverse edge is absent."""
     cp = set((int(u), int(v)) for u, v in g.cp_edges)
     return np.array([(int(v), int(u)) not in cp for u, v in edges], dtype=bool)
+
+
+def sort_build_graph(cp_pairs, cv_pairs, num_nodes):
+    """Graph arrays as build_graph made them with 2-D `np.unique(axis=0)`
+    and one lexsort per CSR. Returns {name: array}; each adjacency is
+    `<name>_indptr` and `<name>_indices`."""
+
+    def unique_pairs(pairs):
+        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        arr = arr[arr[:, 0] != arr[:, 1]]
+        if len(arr) == 0:
+            return np.empty((0, 2), dtype=np.int64)
+        return np.unique(arr, axis=0)
+
+    def csr(pairs):
+        if len(pairs) == 0:
+            return (np.zeros(num_nodes + 1, dtype=np.int64),
+                    np.empty(0, dtype=np.int64))
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        counts = np.bincount(pairs[:, 0], minlength=num_nodes)
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        return indptr, pairs[:, 1].astype(np.int64)
+
+    cp = unique_pairs(cp_pairs)
+    cv_one = unique_pairs(cv_pairs)
+    if len(cv_one):
+        lo = np.minimum(cv_one[:, 0], cv_one[:, 1])
+        hi = np.maximum(cv_one[:, 0], cv_one[:, 1])
+        cv = np.unique(np.stack([lo, hi], axis=1), axis=0)
+        cv_both = np.concatenate([cv, cv[:, ::-1]], axis=0)
+    else:
+        cv = cv_both = np.empty((0, 2), dtype=np.int64)
+    out = {"cp_edges": cp, "cv_pairs": cv}
+    for name, pairs in (("cp_out", cp), ("cp_in", cp[:, ::-1]),
+                        ("cv_out", cv_both), ("cv_in", cv_both[:, ::-1])):
+        out[name + "_indptr"], out[name + "_indices"] = csr(pairs)
+    return out
+
+
+def lexsort_warm_neighbors(features, vec, k_sim, eligible=None):
+    """Warm-neighbour pick by a full lexsort of the catalogue on
+    (-cosine, id), dropping ineligible (-inf) rows."""
+    norms = np.linalg.norm(features, axis=1)
+    safe = np.where(norms > 0, norms, 1.0)
+    cos = (features @ vec) / (safe * np.linalg.norm(vec))
+    if eligible is not None:
+        mask = np.zeros(len(cos), dtype=bool)
+        mask[eligible] = True
+        cos = np.where(mask, cos, -np.inf)
+    order = np.lexsort((np.arange(len(cos)), -cos))
+    order = order[~np.isneginf(cos[order])]
+    return order[: min(k_sim, len(order))].astype(np.int64)
+
+
+def rebuild_attach_and_embed(g, features, params, req, eligible=None):
+    """Cold-start embedding over an overlay rebuilt from every edge by
+    `sort_build_graph`, then the package's full-neighbourhood forward.
+    Returns (theta_s, theta_t, warm_ids)."""
+    from asymgraph.graph import Adjacency, DirectedProductGraph
+    from asymgraph.model import forward
+    from asymgraph.sampler import full_blocks
+
+    warm = lexsort_warm_neighbors(features, req.features, req.k_sim, eligible)
+    cold = g.num_nodes
+    extra = np.stack([np.full(len(warm), cold, dtype=np.int64), warm], axis=1)
+    if req.relation == "cv":
+        arrays = sort_build_graph(g.cp_edges,
+                                  np.concatenate([g.cv_pairs, extra]), cold + 1)
+    else:
+        arrays = sort_build_graph(np.concatenate([g.cp_edges, extra]),
+                                  g.cv_pairs, cold + 1)
+    adj = {name: Adjacency(arrays[name + "_indptr"], arrays[name + "_indices"])
+           for name in ("cp_out", "cp_in", "cv_out")}
+    overlay = DirectedProductGraph(num_nodes=cold + 1, cp_edges=arrays["cp_edges"],
+                                   cv_pairs=arrays["cv_pairs"], **adj)
+    blocks = full_blocks(overlay, [cold], params.num_layers)
+    emb, _ = forward(blocks, np.vstack([features, req.features[None, :]]),
+                     params)
+    return emb.theta_s[0], emb.theta_t[0], warm

@@ -143,6 +143,22 @@ def test_recommend_unknown_key_exits_two(workspace, trained, tmp_path):
     assert "unknown" in proc.stderr.lower()
 
 
+def test_recommend_malformed_embeddings_exits_two(workspace, trained, tmp_path):
+    _root, out = workspace
+    emb_dir = tmp_path / "emb3"
+    run_cli("embed", "--model", str(trained),
+            "--graph", str(trained / "graph.tsv"),
+            "--features", str(out / "features.tsv"), "--out", str(emb_dir))
+    path = emb_dir / "embeddings.tsv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[-1].replace("\t", "x\t", 1)])
+                    + "\n")
+    proc = run_cli("recommend", "--index", str(emb_dir), "--query", "c00m000")
+    assert proc.returncode == 2
+    assert f"line {len(lines) + 1}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_coldstart_command(workspace, trained, tmp_path):
     _root, out = workspace
     cold = tmp_path / "cold.tsv"

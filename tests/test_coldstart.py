@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from asymgraph.coldstart import (ColdStartRequest, attach_and_embed,
                                  find_warm_neighbors, recommend_for_cold)
 from asymgraph.graph import build_graph
 from asymgraph.model import ModelParams, embed_all
 from asymgraph.retrieval import EmbeddingIndex
+from reference import lexsort_warm_neighbors, rebuild_attach_and_embed
 
 
 def test_identical_feature_is_top_warm_neighbor():
@@ -21,6 +25,55 @@ def test_eligible_mask_respected():
     warm = find_warm_neighbors(features, features[6].copy(), 3,
                                eligible=np.array([0, 1, 2]))
     assert set(warm.tolist()) <= {0, 1, 2}
+
+
+@st.composite
+def warm_cases(draw):
+    """Small-integer features, so cosines tie often; zero rows included."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 3))
+    ints = st.integers(-2, 2).map(float)
+    features = draw(hnp.arrays(np.float64, (n, d), elements=ints))
+    vec = draw(hnp.arrays(np.float64, d, elements=ints)
+               .filter(lambda v: np.any(v)))
+    eligible = draw(st.none() | st.lists(st.integers(0, n - 1), max_size=n)
+                    .map(lambda e: np.array(e, dtype=np.int64)))
+    return features, vec, draw(st.integers(1, n + 2)), eligible
+
+
+@given(warm_cases())
+def test_find_warm_neighbors_matches_lexsort_oracle(case):
+    features, vec, k_sim, eligible = case
+    got = find_warm_neighbors(features, vec, k_sim, eligible=eligible)
+    want = lexsort_warm_neighbors(features, vec, k_sim, eligible)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_find_warm_neighbors_ties_by_id():
+    features = np.array([[1.0, 0.0]] * 3 + [[2.0, 0.0]] * 3 + [[0.0, 1.0]])
+    vec = np.array([1.0, 0.0])
+    assert find_warm_neighbors(features, vec, 4).tolist() == [0, 1, 2, 3]
+    assert find_warm_neighbors(features, vec, 2,
+                               eligible=np.array([6, 5, 1])).tolist() == [1, 5]
+    assert find_warm_neighbors(features, vec, 3,
+                               eligible=np.array([], dtype=np.int64)).size == 0
+
+
+@pytest.mark.parametrize("relation", ["cv", "cp"])
+def test_attach_and_embed_matches_rebuild_oracle(mini_corpus, relation):
+    _cfg, data, g = mini_corpus
+    X = data.features
+    rng = np.random.default_rng(11)
+    params = ModelParams.init(X.shape[1], 6, 3, rng)
+    eligible = np.arange(0, g.num_nodes, 2)
+    for i, node in enumerate((0, 17, 42, 77, 101)):
+        req = ColdStartRequest(key="c", features=X[node] + rng.normal(size=X.shape[1]),
+                               k_sim=1 + i, relation=relation)
+        for elig in (None, eligible):
+            got = attach_and_embed(g, X, params, req, eligible=elig)
+            want = rebuild_attach_and_embed(g, X, params, req, eligible=elig)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_request_validation():

@@ -1,12 +1,40 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from asymgraph.errors import DataFormatError
-from asymgraph.graph import (Direction, KeyMap, RelationKind, build_graph,
-                             dump_edge_file, graph_stats, load_edge_file,
-                             load_feature_file, one_way_cp_edges,
-                             one_way_mask, dump_feature_file)
-from reference import loop_one_way_mask
+from asymgraph.graph import (Direction, KeyMap, RelationKind, attach_node,
+                             build_graph, dump_edge_file, graph_stats,
+                             load_edge_file, load_feature_file,
+                             one_way_cp_edges, one_way_mask, dump_feature_file)
+from reference import loop_one_way_mask, sort_build_graph
+
+
+def graph_arrays(g):
+    out = {"cp_edges": g.cp_edges, "cv_pairs": g.cv_pairs}
+    for name in ("cp_out", "cp_in", "cv_out", "cv_in"):
+        adj = getattr(g, name)
+        out[name + "_indptr"], out[name + "_indices"] = adj.indptr, adj.indices
+    return out
+
+
+def assert_same_arrays(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].shape == want[name].shape, name
+        assert np.array_equal(got[name], want[name]), name
+
+
+@st.composite
+def pair_lists(draw, max_nodes=12):
+    """(num_nodes, cp pairs, cv pairs) with repeats, reversed pairs and
+    self-pairs among them."""
+    n = draw(st.integers(0, max_nodes))
+    ids = st.integers(0, max(n - 1, 0))
+    pairs = st.lists(st.tuples(ids, ids), max_size=40 if n else 0)
+    return n, draw(pairs), draw(pairs)
 
 
 def test_single_cp_edge():
@@ -54,6 +82,63 @@ def test_one_way_mask_matches_loop_oracle(random_graph):
         assert np.array_equal(got, loop_one_way_mask(g, edges))
     empty = build_graph([], [], 4)
     assert one_way_mask(empty, pairs % 4).all()
+
+
+@given(pair_lists())
+def test_build_graph_matches_sort_oracle(case):
+    n, cp, cv = case
+    assert_same_arrays(graph_arrays(build_graph(cp, cv, n)),
+                       sort_build_graph(cp, cv, n))
+
+
+def test_cv_in_is_cv_out():
+    g = build_graph([(0, 1)], [(2, 0), (1, 2)], 3)
+    assert g.cv_in is g.cv_out
+
+
+@st.composite
+def attach_cases(draw):
+    n, cp, cv = draw(pair_lists())
+    subsets = st.lists(st.integers(0, n - 1), unique=True, max_size=n) \
+        if n else st.just([])
+    return n, cp, cv, draw(subsets), draw(subsets)
+
+
+@given(attach_cases())
+@example((0, [], [], [], []))                       # empty base graph
+@example((6, [(0, 1)], [(1, 2)], [5, 3, 4], []))    # warm rows all empty
+@example((6, [(0, 1)], [(1, 2)], [], [4, 0, 5]))
+@example((4, [(0, 1), (2, 3)], [(0, 3)], [3, 0], [1, 3]))
+def test_attach_node_equals_rebuild(case):
+    n, cp, cv, cv_nbrs, cp_targets = case
+    g = build_graph(cp, cv, n)
+    overlay = attach_node(g, cv_nbrs=cv_nbrs, cp_targets=cp_targets)
+    assert overlay.num_nodes == n + 1
+    all_cp = np.concatenate([g.cp_edges, [(n, w) for w in cp_targets]
+                             or np.empty((0, 2), dtype=np.int64)])
+    all_cv = np.concatenate([g.cv_pairs, [(n, w) for w in cv_nbrs]
+                             or np.empty((0, 2), dtype=np.int64)])
+    got = graph_arrays(overlay)
+    assert_same_arrays(got, graph_arrays(build_graph(all_cp, all_cv, n + 1)))
+    assert_same_arrays(got, sort_build_graph(all_cp, all_cv, n + 1))
+
+
+def test_attach_node_leaves_base_untouched_and_shares_the_rest(random_graph):
+    g, _ = random_graph(num_nodes=15, seed=9)
+    before = {k: v.copy() for k, v in graph_arrays(g).items()}
+    overlay = attach_node(g, cv_nbrs=[3, 7])
+    assert_same_arrays(graph_arrays(g), before)
+    # co-purchase gains nothing: its lists are shared, read-only
+    for base, new in ((g.cp_out.indices, overlay.cp_out.indices),
+                      (g.cp_in.indices, overlay.cp_in.indices),
+                      (g.cp_edges, overlay.cp_edges)):
+        assert np.shares_memory(base, new) and not new.flags.writeable
+    assert g.cp_out.indices.flags.writeable
+    assert not np.shares_memory(g.cv_out.indices, overlay.cv_out.indices)
+    with pytest.raises(DataFormatError, match="outside"):
+        attach_node(g, cv_nbrs=[15])
+    with pytest.raises(DataFormatError, match="outside"):
+        attach_node(g, cp_targets=[-1])
 
 
 def test_neighbors_accessor():

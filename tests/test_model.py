@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from asymgraph import util
 from asymgraph.errors import DataFormatError
 from asymgraph.graph import build_graph
 from asymgraph.loss import LossBatch, asymmetric_loss, loss_grad
@@ -10,6 +13,7 @@ from asymgraph.model import (DualEmbeddings, ModelParams, backward, embed_all,
 from asymgraph.sampler import full_blocks, sample_blocks, sample_negatives
 from asymgraph.graph import one_way_mask
 from asymgraph.graph import KeyMap
+from asymgraph.trainer import AdamState, TrainState, save_train_state
 from reference import naive_dual_embeddings
 
 
@@ -271,3 +275,78 @@ class TestPersistence:
         assert np.array_equal(loaded.theta_s, emb.theta_s)
         assert np.array_equal(loaded.theta_t, emb.theta_t)
         assert km2.keys() == km.keys()
+
+    @pytest.mark.parametrize("body, line", [
+        ("2\t2\na\tS:1,2\tT:3,4\na\tS:1,2\tT:3,4\n", 3),   # duplicate key
+        ("2\t2\na\tS:1,2\tT:3,4\nb\tS:nan,2\tT:3,4\n", 3),  # NaN
+        ("1\t2\na\tS:1,2\tT:inf,4\n", 2),                    # infinity
+        ("1\t2\na\tS:1,2\tT:3,4\nb\tS:1,2\tT:3,4\n", 3),   # extra row
+        ("2\t2\na\tS:1,2\tT:3,4\nb\tS:1,2,5\tT:3,4\n", 3),  # ragged S
+        ("2\t2\na\tS:1\tT:3\nb\tS:1,2\tT:3,4\n", 2),        # short row
+        ("1\t2\na\tS:1,x\tT:3,4\n", 2),                      # not a float
+        ("1\t2\na\tS:1,2\n", 2),                              # missing T
+        ("two\t2\na\tS:1,2\tT:3,4\n", 1),                     # bad header
+        ("1\n", 1),                                            # short header
+    ], ids=["duplicate-key", "nan", "inf", "extra-row", "ragged-s",
+            "short-row", "not-a-float", "missing-t", "bad-header",
+            "short-header"])
+    def test_malformed_embeddings_rejected_with_line(self, tmp_path, body, line):
+        path = tmp_path / "emb.tsv"
+        path.write_text(body)
+        with pytest.raises(DataFormatError, match=rf"line {line}\b"):
+            load_embeddings(path)
+
+
+class _FailingFile:
+    """File wrapper whose second write raises, as a full disk would."""
+
+    def __init__(self, f):
+        self._f = f
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError("no space left on device")
+        return self._f.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def _writers():
+    params = ModelParams.init(3, 2, 2, np.random.default_rng(0))
+    emb = DualEmbeddings(nodes=np.arange(2), theta_s=np.ones((2, 2)),
+                         theta_t=np.zeros((2, 2)))
+    state = TrainState(params=params, adam=AdamState.zeros(params))
+    return {
+        "model.ckpt": lambda path: save_checkpoint(params, path),
+        "embeddings.tsv": lambda path: dump_embeddings(
+            emb, KeyMap(["a", "b"]), path),
+        "train_state.ckpt": lambda path: save_train_state(state, path),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_writers()))
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch, name):
+    write = _writers()[name]
+    path = tmp_path / name
+    path.write_bytes(b"previous contents")
+    real_open = open
+    monkeypatch.setattr(util, "open",
+                        lambda *a, **k: _FailingFile(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="no space"):
+        write(path)
+    assert path.read_bytes() == b"previous contents"
+    assert os.listdir(tmp_path) == [name]
+    monkeypatch.undo()
+    write(path)
+    assert path.read_bytes() != b"previous contents"
+    assert os.listdir(tmp_path) == [name]
