@@ -172,10 +172,10 @@ def cmd_embed(args) -> int:
     g, features, km = _load_graph(args.graph, args.features)
     params = load_checkpoint(Path(args.model) / "model.ckpt")
     out = Path(args.out)
-    write_manifest(out, "embed", {"batch_size": args.batch_size}, {},
+    write_manifest(out, "embed", {}, {},
                    {"graph": args.graph, "features": args.features,
                     "model": str(Path(args.model) / "model.ckpt")})
-    emb = embed_all(g, features, params, batch_size=args.batch_size)
+    emb = embed_all(g, features, params)
     dump_embeddings(emb, km, out / "embeddings.tsv")
     # keep the graph next to the embeddings so the directory works as a
     # self-contained index (needed by the train-neighbor filter)
@@ -232,7 +232,7 @@ def cmd_coldstart(args) -> int:
     g, features, km = _load_graph(graph_path, args.features)
     params = load_checkpoint(Path(args.model) / "model.ckpt")
     cold_features, cold_km = load_feature_file(args.cold)
-    emb = embed_all(g, features, params, batch_size=args.batch_size)
+    emb = embed_all(g, features, params)
     index = retrieval.EmbeddingIndex.build(emb, key_map=km, graph=g)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
@@ -264,7 +264,7 @@ def cmd_eval(args) -> int:
                     "model": str(Path(args.model) / "model.ckpt")})
     report = evaluation.run_task(
         args.task, g, features, params, split_seed=args.split_seed, ks=ks,
-        batch_size=args.batch_size, use_coview=not args.no_coview,
+        use_coview=not args.no_coview,
         threads=args.threads)
     rows = report.rows()
     with open(out / "metrics.tsv", "w", encoding="utf-8") as f:
@@ -325,7 +325,6 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--batch-size", type=int, default=1024)
     p.set_defaults(fn=cmd_embed)
 
     p = sub.add_parser("recommend", help="query top-k recommendations")
@@ -347,7 +346,6 @@ def build_parser() -> _Parser:
     p.add_argument("--cold", required=True, help="cold feature file")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--k-sim", type=int, default=5)
-    p.add_argument("--batch-size", type=int, default=1024)
     p.add_argument("--out", help="output TSV (default stdout)")
     p.set_defaults(fn=cmd_coldstart)
 
@@ -359,7 +357,6 @@ def build_parser() -> _Parser:
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--ks", default="5,10,20")
     p.add_argument("--no-coview", action="store_true")
-    p.add_argument("--batch-size", type=int, default=1024)
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(fn=cmd_eval)

@@ -13,6 +13,7 @@ out-neighbors by default.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,8 @@ from scipy.stats import rankdata
 
 from . import retrieval
 from .coldstart import ColdStartRequest, attach_and_embed, recommend_for_cold
-from .graph import DirectedProductGraph, build_graph, one_way_mask
+from .graph import (DirectedProductGraph, build_graph, has_cp_edges,
+                    one_way_mask)
 from .model import DualEmbeddings, ModelParams, embed_all
 from .util import STREAM_EVAL, STREAM_SPLIT, derive_rng
 
@@ -171,6 +173,31 @@ def rank_queries(index: retrieval.EmbeddingIndex, queries, k: int,
     return {e.query: [i for i, _ in e.results] for e in entries}
 
 
+def _ranks(rankings: dict[int, list[int]], edges: np.ndarray) -> np.ndarray:
+    """1-based position of each edge's v in its u's ranking, counting the
+    first occurrence; 0 when u has no ranking or v is not in it."""
+    lens = np.fromiter(map(len, rankings.values()), dtype=np.int64,
+                       count=len(rankings))
+    ids = np.fromiter(itertools.chain.from_iterable(rankings.values()),
+                      dtype=np.int64, count=int(lens.sum()))
+    if len(ids) == 0 or len(edges) == 0:
+        return np.zeros(len(edges), dtype=np.int64)
+    q = np.repeat(np.fromiter(rankings.keys(), dtype=np.int64,
+                              count=len(rankings)), lens)
+    pos = np.arange(1, len(ids) + 1) - np.repeat(np.cumsum(lens) - lens, lens)
+    # one int64 key per (query, id), with ids offset into [0, span)
+    lo = min(ids.min(), edges[:, 1].min())
+    span = max(ids.max(), edges[:, 1].max()) - lo + 1
+    keys = q * span + (ids - lo)
+    # a stable sort keeps each query's ids in ranking order, so a left
+    # search lands on an id's first position
+    order = np.argsort(keys, kind="stable")
+    keys, pos = keys[order], pos[order]
+    want = edges[:, 0] * span + (edges[:, 1] - lo)
+    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return np.where(keys[at] == want, pos[at], 0)
+
+
 def hitrate_mrr(rankings: dict[int, list[int]], test_edges,
                 k_list=DEFAULT_KS) -> MetricReport:
     """HitRate@k and MRR@k over test edges.
@@ -180,20 +207,14 @@ def hitrate_mrr(rankings: dict[int, list[int]], test_edges,
     """
     test_edges = np.asarray(test_edges, dtype=np.int64).reshape(-1, 2)
     report = MetricReport(counts={"test_edges": len(test_edges)})
-    ranks = []
-    for u, v in test_edges:
-        lst = rankings.get(int(u), [])
-        try:
-            ranks.append(lst.index(int(v)) + 1)
-        except ValueError:
-            ranks.append(0)  # not retrieved
+    ranks = _ranks(rankings, test_edges)
     n = len(ranks)
     for k in k_list:
-        hits = [1.0 if 0 < r <= k else 0.0 for r in ranks]
-        rrs = [1.0 / r if 0 < r <= k else 0.0 for r in ranks]
-        # fsum: exactly rounded, so the reduction order cannot matter
-        report.hitrate[k] = math.fsum(hits) / n if n else 0.0
-        report.mrr[k] = math.fsum(rrs) / n if n else 0.0
+        hit = (ranks > 0) & (ranks <= k)
+        # fsum: exactly rounded, so the reduction order cannot matter;
+        # misses add exact zeros, so summing over the hits alone is the same
+        report.hitrate[k] = np.count_nonzero(hit) / n if n else 0.0
+        report.mrr[k] = math.fsum(1.0 / ranks[hit]) / n if n else 0.0
     return report
 
 
@@ -218,20 +239,28 @@ def relevance_scores(emb: DualEmbeddings, pairs: np.ndarray) -> np.ndarray:
 
 def sample_non_edges(g: DirectedProductGraph, count: int,
                      seed: int = 0) -> np.ndarray:
-    """Uniform ordered pairs (u, v), u != v, absent from the co-purchase set."""
+    """Uniform ordered pairs (u, v), u != v, absent from the co-purchase set.
+
+    Pairs are drawn in blocks; the first `count` legal pairs in draw order
+    are kept. After 1000 * max(count, 1) draws without enough of them the
+    graph counts as too dense.
+    """
     rng = derive_rng(seed, STREAM_EVAL)
-    out = []
-    guard = 0
-    while len(out) < count:
-        u = int(rng.integers(0, g.num_nodes))
-        v = int(rng.integers(0, g.num_nodes))
-        guard += 1
-        if guard > 1000 * max(count, 1):
+    limit = 1000 * max(count, 1)
+    drawn = 0
+    kept = [np.empty((0, 2), dtype=np.int64)]
+    found = 0
+    while found < count:
+        if drawn >= limit:
             raise ValueError("graph too dense to sample non-edges")
-        if u == v or g.has_cp_edge(u, v):
-            continue
-        out.append((u, v))
-    return np.asarray(out, dtype=np.int64)
+        size = min(2 * (count - found), limit - drawn)
+        pairs = rng.integers(0, g.num_nodes, size=(size, 2))
+        drawn += size
+        pairs = pairs[(pairs[:, 0] != pairs[:, 1])
+                      & ~has_cp_edges(g, pairs[:, 0], pairs[:, 1])]
+        kept.append(pairs)
+        found += len(pairs)
+    return np.concatenate(kept)[:count]
 
 
 def auc_direction(g: DirectedProductGraph, test_edges: np.ndarray,
@@ -260,8 +289,7 @@ def _ranking_report(g_train, emb, test_edges, ks, threads=1) -> MetricReport:
 
 def run_task(task: str, g: DirectedProductGraph, features: np.ndarray,
              params: ModelParams, split_seed: int = 0, ks=DEFAULT_KS,
-             ratios=DEFAULT_RATIOS, batch_size: int = 1024,
-             use_coview: bool = True, k_sim: int = 5,
+             ratios=DEFAULT_RATIOS, use_coview: bool = True, k_sim: int = 5,
              threads: int = 1) -> MetricReport:
     """Run one offline task end to end against a trained model.
 
@@ -274,7 +302,7 @@ def run_task(task: str, g: DirectedProductGraph, features: np.ndarray,
     if task in ("node-rec", "lp-exist", "lp-dir"):
         split = make_edge_split(g, ratios, split_seed)
         g_train = train_graph(g, split, use_coview=use_coview)
-        emb = embed_all(g_train, features, params, batch_size=batch_size)
+        emb = embed_all(g_train, features, params)
         if task == "node-rec":
             return _ranking_report(g_train, emb, split.test_edges, ks, threads)
         if task == "lp-exist":
@@ -293,7 +321,7 @@ def run_task(task: str, g: DirectedProductGraph, features: np.ndarray,
     if task == "selection-bias":
         split = make_selection_bias_split(g, ratios, split_seed)
         g_train = train_graph(g, split, use_coview=use_coview)
-        emb = embed_all(g_train, features, params, batch_size=batch_size)
+        emb = embed_all(g_train, features, params)
         report = _ranking_report(g_train, emb, split.test_edges, ks, threads)
         synth = split.synth_test_edges
         if synth is not None and len(synth):
@@ -307,7 +335,7 @@ def run_task(task: str, g: DirectedProductGraph, features: np.ndarray,
     # cold-start over a node split
     split = make_node_split(g, ratios, split_seed)
     g_train = train_graph(g, split, use_coview=use_coview)
-    emb = embed_all(g_train, features, params, batch_size=batch_size)
+    emb = embed_all(g_train, features, params)
     index = retrieval.EmbeddingIndex.build(emb, graph=g_train)
     train_set = np.zeros(g.num_nodes, dtype=bool)
     train_set[split.train_nodes] = True

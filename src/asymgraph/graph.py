@@ -384,7 +384,8 @@ def load_feature_file(path):
             if not line or line.startswith("#"):
                 continue
             if count >= n:
-                raise DataFormatError(f"{path}: more rows than header declares")
+                raise DataFormatError(
+                    f"{path}: more rows than header declares on line {lineno}")
             key, _, blob = line.partition("\t")
             try:
                 vec = np.array(blob.split(","), dtype=np.float64)

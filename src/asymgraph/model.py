@@ -8,6 +8,11 @@ over in-neighbors. One weight matrix per layer is shared across both
 channels and both relation terms. Rows are L2-normalized after every
 layer; all-zero rows (empty neighborhoods) are left untouched so isolated
 nodes embed to zero instead of NaN.
+
+Training runs `forward` over sampled computation blocks and keeps a tape
+for `backward`. Whole-catalogue inference (`embed_all`) is layer-wise
+instead: each layer is computed once for every node straight from the
+graph's CSR adjacencies, with no tape, through the same per-layer step.
 """
 
 from __future__ import annotations
@@ -20,8 +25,7 @@ import scipy.sparse as sp
 
 from .errors import DataFormatError, NumericalError
 from .graph import DirectedProductGraph, KeyMap
-from .sampler import (SOURCE, TARGET, ComputationBlocks, full_blocks,
-                      sample_blocks)
+from .sampler import SOURCE, TARGET, ComputationBlocks
 from .util import atomic_write, fmt_float
 
 CHECKPOINT_MAGIC = b"ASYMGEMB"
@@ -99,13 +103,6 @@ class DualEmbeddings:
         return idx
 
 
-def _normalize_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm rows with a zero guard; returns (normalized, norms)."""
-    norms = np.linalg.norm(h, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return h / safe[:, None], norms
-
-
 def _selection(ptr: np.ndarray, rows: np.ndarray, n_cols: int) -> sp.csr_matrix:
     data = np.ones(len(rows), dtype=np.float64)
     return sp.csr_matrix((data, rows, ptr), shape=(len(ptr) - 1, n_cols))
@@ -123,6 +120,33 @@ class Tape:
 
     num_layers: int
     steps: dict
+
+
+def _layer(sel_cp, feed_cp, sel_cv, feed_cv, w: np.ndarray, l: int,
+           ch: str) -> tuple:
+    """One (layer, channel) step: relu(sel_cp @ feed_cp @ w) +
+    relu(sel_cv @ feed_cv @ w), rows normalized. Returns the summed
+    neighbor inputs, the ReLU masks, the pre-normalization row norms and
+    the normalized output, in that order."""
+    sum_cp = sel_cp @ feed_cp
+    sum_cv = sel_cv @ feed_cv
+    # ReLUs and the sum run in place, so at most one pre-activation
+    # matrix is alive; the arithmetic is the same as out of place
+    h = sum_cp @ w
+    on_cp = h > 0.0
+    np.maximum(h, 0.0, out=h)
+    pre_cv = sum_cv @ w
+    on_cv = pre_cv > 0.0
+    h += np.maximum(pre_cv, 0.0, out=pre_cv)
+    if not np.isfinite(h).all():
+        raise NumericalError(
+            f"non-finite activations in layer {l} ({ch} channel)")
+    norms = np.linalg.norm(h, axis=1)
+    if not np.isfinite(norms).all():
+        raise NumericalError(
+            f"non-finite row norms in layer {l} ({ch} channel)")
+    h /= np.where(norms > 0.0, norms, 1.0)[:, None]
+    return sum_cp, sum_cv, on_cp, on_cv, norms, h
 
 
 def _forward_cached(blocks: ComputationBlocks, features: np.ndarray,
@@ -147,21 +171,9 @@ def _forward_cached(blocks: ComputationBlocks, features: np.ndarray,
             feed_cv = H[(ch, l - 1)]
             sel_cp = _selection(blk.cp_ptr, blk.cp_rows, feed_cp.shape[0])
             sel_cv = _selection(blk.cv_ptr, blk.cv_rows, feed_cv.shape[0])
-            sum_cp = sel_cp @ feed_cp
-            sum_cv = sel_cv @ feed_cv
-            pre_cp = sum_cp @ w
-            pre_cv = sum_cv @ w
-            h = np.maximum(pre_cp, 0.0) + np.maximum(pre_cv, 0.0)
-            if not np.isfinite(h).all():
-                raise NumericalError(
-                    f"non-finite activations in layer {l} ({ch} channel)")
-            out, norms = _normalize_rows(h)
-            if not np.isfinite(norms).all():
-                raise NumericalError(
-                    f"non-finite row norms in layer {l} ({ch} channel)")
-            H[(ch, l)] = out
-            steps[(ch, l)] = (sel_cp, sel_cv, sum_cp, sum_cv,
-                              pre_cp > 0.0, pre_cv > 0.0, norms, out)
+            step = _layer(sel_cp, feed_cp, sel_cv, feed_cv, w, l, ch)
+            H[(ch, l)] = step[-1]
+            steps[(ch, l)] = (sel_cp, sel_cv) + step
     L = blocks.num_layers
     emb = DualEmbeddings(nodes=blocks.seeds,
                          theta_s=H[(SOURCE, L)], theta_t=H[(TARGET, L)])
@@ -225,30 +237,31 @@ def backward(tape: Tape, params: ModelParams, loss_grad_s: np.ndarray,
 
 
 def embed_all(g: DirectedProductGraph, features: np.ndarray,
-              params: ModelParams, batch_size: int = 1024,
-              fanouts=None, rng_seed: int = 0) -> DualEmbeddings:
+              params: ModelParams) -> DualEmbeddings:
     """Embeddings for every product, row order = dense node ids.
 
-    Uses full (unsampled) neighborhoods by default so inference is
-    deterministic; pass fanouts to sample instead. Batches are an exact
-    partition of independent per-node computations.
+    Inference is layer-wise over the whole graph: each layer is computed
+    once for every node from the graph's own CSR adjacencies, and only the
+    previous layer is kept, so no tape is recorded. Neighborhoods are
+    full (unsampled), so the result is deterministic. It equals `forward`
+    over full blocks seeded with every node, up to BLAS blocking in the
+    last ulp.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     n = g.num_nodes
-    theta_s = np.zeros((n, params.embed_dim))
-    theta_t = np.zeros((n, params.embed_dim))
-    for start in range(0, n, batch_size):
-        seeds = np.arange(start, min(start + batch_size, n))
-        if fanouts is None:
-            blocks = full_blocks(g, seeds, params.num_layers)
-        else:
-            blocks = sample_blocks(g, seeds, fanouts,
-                                   rng_seed=rng_seed + start)
-        emb, _ = forward(blocks, features, params)
-        theta_s[seeds] = emb.theta_s
-        theta_t[seeds] = emb.theta_t
-    return DualEmbeddings(nodes=np.arange(n), theta_s=theta_s, theta_t=theta_t)
+    if features.shape != (n, params.input_dim):
+        raise ValueError(
+            f"features have shape {features.shape}, expected "
+            f"({n}, {params.input_dim})")
+    cp_out = _selection(g.cp_out.indptr, g.cp_out.indices, n)
+    cp_in = _selection(g.cp_in.indptr, g.cp_in.indices, n)
+    cv = _selection(g.cv_out.indptr, g.cv_out.indices, n)
+    S = T = features
+    for l, w in enumerate(params.weights, start=1):
+        # source pulls cp out-neighbors' targets, target pulls cp
+        # in-neighbors' sources; co-view keeps the channel
+        S, T = (_layer(cp_out, T, cv, S, w, l, SOURCE)[-1],
+                _layer(cp_in, S, cv, T, w, l, TARGET)[-1])
+    return DualEmbeddings(nodes=np.arange(n), theta_s=S, theta_t=T)
 
 
 # ----------------------------------------------------------------------

@@ -264,12 +264,11 @@ def _incident_cv_pairs(g: DirectedProductGraph, endpoints: np.ndarray,
 
 
 def validation_mrr10(g: DirectedProductGraph, features: np.ndarray,
-                     params: ModelParams, val_edges: np.ndarray,
-                     batch_size: int = 1024) -> float:
+                     params: ModelParams, val_edges: np.ndarray) -> float:
     """MRR@10 of held-out edges, ranking against all products minus the
     query and its known co-purchase out-neighbors."""
     from .evaluation import hitrate_mrr, rank_queries
-    emb = embed_all(g, features, params, batch_size=batch_size)
+    emb = embed_all(g, features, params)
     index = retrieval.EmbeddingIndex.build(emb, graph=g)
     rankings = rank_queries(index, np.unique(val_edges[:, 0]), k=10)
     report = hitrate_mrr(rankings, val_edges, (10,))
@@ -352,8 +351,7 @@ def train(g: DirectedProductGraph, features: np.ndarray, cfg: TrainConfig,
 
         val_metric = None
         if val_edges is not None:
-            val_metric = validation_mrr10(g, features, params, val_edges,
-                                          batch_size=cfg.batch_size)
+            val_metric = validation_mrr10(g, features, params, val_edges)
         history.append(EpochStats(epoch=epoch,
                                   mean_loss=epoch_loss / len(edges),
                                   val_mrr10=val_metric))

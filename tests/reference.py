@@ -242,3 +242,42 @@ def rebuild_attach_and_embed(g, features, params, req, eligible=None):
     emb, _ = forward(blocks, np.vstack([features, req.features[None, :]]),
                      params)
     return emb.theta_s[0], emb.theta_t[0], warm
+
+
+def batched_embed_all(g, features, params, batch_size=1024):
+    """Whole-catalogue embeddings the way `embed_all` made them before it
+    went layer-wise: full-neighbourhood blocks for each batch of seeds,
+    each run through the package's `forward`. Returns (theta_s, theta_t)."""
+    from asymgraph.model import forward
+    from asymgraph.sampler import full_blocks
+
+    n = g.num_nodes
+    theta_s = np.zeros((n, params.embed_dim))
+    theta_t = np.zeros((n, params.embed_dim))
+    for start in range(0, n, batch_size):
+        seeds = np.arange(start, min(start + batch_size, n))
+        emb, _ = forward(full_blocks(g, seeds, params.num_layers), features,
+                         params)
+        theta_s[seeds] = emb.theta_s
+        theta_t[seeds] = emb.theta_t
+    return theta_s, theta_t
+
+
+def loop_sample_non_edges(g, count, seed=0):
+    """One (u, v) draw at a time from the eval stream, rejecting u == v and
+    known co-purchase edges; gives up after 1000 * max(count, 1) draws."""
+    from asymgraph.util import STREAM_EVAL, derive_rng
+
+    rng = derive_rng(seed, STREAM_EVAL)
+    out = []
+    guard = 0
+    while len(out) < count:
+        u = int(rng.integers(0, g.num_nodes))
+        v = int(rng.integers(0, g.num_nodes))
+        guard += 1
+        if guard > 1000 * max(count, 1):
+            raise ValueError("graph too dense to sample non-edges")
+        if u == v or g.has_cp_edge(u, v):
+            continue
+        out.append((u, v))
+    return np.asarray(out, dtype=np.int64)

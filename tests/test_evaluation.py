@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from asymgraph.evaluation import (auc_direction, auc_existence, hitrate_mrr,
                                   make_edge_split, make_node_split,
                                   make_selection_bias_split, rank_queries,
                                   run_task, sample_non_edges, train_graph)
-from asymgraph.graph import build_graph
+from asymgraph.graph import build_graph, has_cp_edges
 from asymgraph.model import DualEmbeddings
-from reference import brute_auc, brute_hitrate_mrr
+from asymgraph.util import STREAM_EVAL, derive_rng
+from reference import brute_auc, brute_hitrate_mrr, loop_sample_non_edges
 
 
 class TestSplits:
@@ -131,6 +134,28 @@ class TestMetrics:
             assert report.hitrate[k] == hr
             assert report.mrr[k] == mrr
 
+    @given(rankings=st.dictionaries(
+               st.integers(0, 6),
+               st.lists(st.integers(0, 12), max_size=10),
+               max_size=5),
+           edges=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 14)),
+                          max_size=25),
+           ks=st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    # v above every ranked id must not alias another query's entry
+    @example(rankings={1: [0]}, edges=[(0, 1)], ks=[1])
+    # long enough that only a stable sort keeps repeats in ranking order
+    @example(rankings={0: [1, 2] * 20}, edges=[(0, 2)], ks=[5])
+    def test_hitrate_mrr_matches_brute_force_property(self, rankings, edges,
+                                                      ks):
+        """Repeated queries, ids missing from a ranking or repeated in
+        one, queries with no ranking (ids 7-8) and empty rankings all
+        score exactly as the per-edge list.index oracle does."""
+        report = hitrate_mrr(rankings, edges, ks)
+        for k in ks:
+            hr, mrr = brute_hitrate_mrr(rankings, edges, k)
+            assert report.hitrate[k] == hr
+            assert report.mrr[k] == mrr
+
     def test_metric_monotone_in_k(self):
         rng = np.random.default_rng(13)
         rankings = {q: rng.permutation(50).tolist() for q in range(10)}
@@ -182,6 +207,22 @@ class TestMetrics:
         emb, _ = forward(full_blocks(g, [0, 1], 1), X, ModelParams([np.eye(2)]))
         assert auc_direction(g, g.cp_edges, emb) == 1.0
 
+    @given(n=st.integers(2, 15), seed=st.integers(0, 2**16),
+           count=st.integers(0, 60), density=st.floats(0.0, 0.9))
+    def test_sample_non_edges_matches_loop(self, n, seed, count, density):
+        """Block draws read the eval stream in the loop's (u, v) order, so
+        the first `count` legal pairs are the loop's, pair for pair."""
+        rng = np.random.default_rng(seed)
+        dense = rng.random((n, n)) < density
+        dense[0, 1] = False  # at least one legal pair
+        g = build_graph(np.argwhere(dense), [], n)
+        got = sample_non_edges(g, count, seed=seed)
+        assert got.shape == (count, 2) and got.dtype == np.int64
+        assert np.all(got[:, 0] != got[:, 1])
+        assert not has_cp_edges(g, got[:, 0], got[:, 1]).any()
+        want = loop_sample_non_edges(g, count, seed=seed)
+        assert np.array_equal(got, want.reshape(-1, 2))
+
     def test_sample_non_edges_valid(self, random_graph):
         g, _ = random_graph(num_nodes=20, num_cp=50, seed=9)
         pairs = sample_non_edges(g, 40, seed=1)
@@ -191,6 +232,54 @@ class TestMetrics:
             assert not g.cp_out.has_edge(int(u), int(v))
         again = sample_non_edges(g, 40, seed=1)
         assert np.array_equal(pairs, again)
+
+    def test_sample_non_edges_gives_up_after_same_draws_as_loop(self):
+        """One legal pair among 1600: the first one falls either side of
+        the 1000-draw limit depending on the seed, and both samplers agree
+        on which side, seed for seed."""
+        n = 40
+        full = [(u, v) for u in range(n) for v in range(n)
+                if u != v and (u, v) != (3, 7)]
+        g = build_graph(full, [], n)
+        outcomes = set()
+        for seed in range(12):
+            try:
+                want = loop_sample_non_edges(g, 1, seed=seed)
+            except ValueError:
+                with pytest.raises(ValueError, match="too dense"):
+                    sample_non_edges(g, 1, seed=seed)
+                outcomes.add("raised")
+                continue
+            assert np.array_equal(sample_non_edges(g, 1, seed=seed), want)
+            outcomes.add("found")
+        assert outcomes == {"raised", "found"}
+
+    def test_sample_non_edges_does_not_count_draws_past_the_limit(self):
+        """The only legal pairs are draws 0, 3000 and 3001 of the stream.
+        For count=3 the loop gives up after draw 2999 (0-based), so a last
+        block that reached past the limit would wrongly succeed."""
+        n, seed = 200, 1
+        draws = derive_rng(seed, STREAM_EVAL).integers(0, n, size=(3002, 2))
+        keys = draws[:, 0] * n + draws[:, 1]
+        legal = [0, 3000, 3001]
+        assert all(draws[i, 0] != draws[i, 1] and (keys == keys[i]).sum() == 1
+                   for i in legal)
+        banned = np.ones((n, n), dtype=bool)
+        np.fill_diagonal(banned, False)
+        banned[draws[legal, 0], draws[legal, 1]] = False
+        g = build_graph(np.argwhere(banned), [], n)
+        for sampler in (sample_non_edges, loop_sample_non_edges):
+            with pytest.raises(ValueError, match="too dense"):
+                sampler(g, 3, seed=seed)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_sample_non_edges_too_dense_raises(self, n):
+        # every ordered pair of distinct nodes is a co-purchase edge
+        full = [(u, v) for u in range(n) for v in range(n) if u != v]
+        g = build_graph(full, [], n)
+        for sampler in (sample_non_edges, loop_sample_non_edges):
+            with pytest.raises(ValueError, match="too dense"):
+                sampler(g, 5, seed=0)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

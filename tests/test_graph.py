@@ -235,6 +235,13 @@ def test_feature_file_bad_counts(tmp_path):
         load_feature_file(path)
 
 
+
+def test_feature_file_extra_row_names_line(tmp_path):
+    path = tmp_path / "features.tsv"
+    path.write_text("1\t2\np0\t1.0,2.0\np1\t3.0,4.0\n")
+    with pytest.raises(DataFormatError, match="on line 3$"):
+        load_feature_file(path)
+
 def test_stats_counts():
     g = build_graph([(0, 1), (1, 0), (0, 2)], [(1, 2)], 3)
     stats = graph_stats(g)

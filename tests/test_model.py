@@ -2,9 +2,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from asymgraph import util
-from asymgraph.errors import DataFormatError
+from asymgraph.errors import DataFormatError, NumericalError
 from asymgraph.graph import build_graph
 from asymgraph.loss import LossBatch, asymmetric_loss, loss_grad
 from asymgraph.model import (DualEmbeddings, ModelParams, backward, embed_all,
@@ -14,7 +16,7 @@ from asymgraph.sampler import full_blocks, sample_blocks, sample_negatives
 from asymgraph.graph import one_way_mask
 from asymgraph.graph import KeyMap
 from asymgraph.trainer import AdamState, TrainState, save_train_state
-from reference import naive_dual_embeddings
+from reference import batched_embed_all, naive_dual_embeddings
 
 
 class TestForward:
@@ -197,38 +199,65 @@ class TestEmbedAll:
     def test_row_count(self, random_graph):
         g, X = random_graph(num_nodes=17, seed=5)
         params = ModelParams.init(5, 4, 2, np.random.default_rng(1))
-        emb = embed_all(g, X, params, batch_size=4)
+        emb = embed_all(g, X, params)
         assert emb.theta_s.shape == (17, 4)
         assert emb.theta_t.shape == (17, 4)
         assert np.array_equal(emb.nodes, np.arange(17))
 
-    def test_batch_size_is_a_partition(self, random_graph):
-        # BLAS picks shape-dependent blocking, so partitioned batches can
-        # differ in the last ulp; anything beyond that is a real bug.
-        g, X = random_graph(num_nodes=13, seed=7)
-        params = ModelParams.init(5, 4, 2, np.random.default_rng(2))
-        one = embed_all(g, X, params, batch_size=1)
-        all_at_once = embed_all(g, X, params, batch_size=13)
-        assert np.allclose(one.theta_s, all_at_once.theta_s, rtol=0, atol=1e-12)
-        assert np.allclose(one.theta_t, all_at_once.theta_t, rtol=0, atol=1e-12)
-
     def test_matches_per_node_oracle(self, random_graph):
         g, X = random_graph(num_nodes=14, seed=9)
         params = ModelParams.init(5, 4, 3, np.random.default_rng(3))
-        emb = embed_all(g, X, params, batch_size=5)
+        emb = embed_all(g, X, params)
         ref_s, ref_t = naive_dual_embeddings(
             14, g.cp_edges, g.cv_pairs, X, params.weights)
         assert np.allclose(emb.theta_s, ref_s, atol=1e-10)
         assert np.allclose(emb.theta_t, ref_t, atol=1e-10)
 
-    def test_sampled_inference_option(self, random_graph):
-        g, X = random_graph(num_nodes=16, num_cp=60, num_cv=25, seed=10)
-        params = ModelParams.init(5, 4, 2, np.random.default_rng(4))
-        a = embed_all(g, X, params, batch_size=4, fanouts=(2, 2), rng_seed=3)
-        b = embed_all(g, X, params, batch_size=4, fanouts=(2, 2), rng_seed=3)
-        assert np.array_equal(a.theta_s, b.theta_s)
-        full = embed_all(g, X, params, batch_size=4)
-        assert not np.allclose(a.theta_s, full.theta_s)
+    @given(st.data())
+    def test_matches_batched_and_naive_oracles(self, data):
+        """Whole-graph layers equal the batched full-block pass (any batch
+        size) and the per-node loop, up to BLAS blocking in the last ulp.
+        Graphs may have isolated nodes, zero feature rows, or only one
+        relation."""
+        linked = data.draw(st.integers(1, 12), label="linked nodes")
+        n = linked + data.draw(st.integers(0, 3), label="isolated nodes")
+        pair = st.tuples(st.integers(0, linked - 1), st.integers(0, linked - 1))
+        relations = data.draw(st.sampled_from(["both", "cp", "cv"]))
+        cp = data.draw(st.lists(pair, max_size=30)) if relations != "cv" else []
+        cv = data.draw(st.lists(pair, max_size=15)) if relations != "cp" else []
+        layers = data.draw(st.integers(1, 3), label="layers")
+        batch = data.draw(st.integers(1, n + 1), label="oracle batch size")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        g = build_graph(cp, cv, n)
+        X = rng.normal(size=(n, 3))
+        X[rng.random(n) < 0.2] = 0.0
+        params = ModelParams.init(3, 4, layers, rng)
+        emb = embed_all(g, X, params)
+        assert np.array_equal(emb.nodes, np.arange(n))
+        want_s, want_t = batched_embed_all(g, X, params, batch_size=batch)
+        naive_s, naive_t = naive_dual_embeddings(n, g.cp_edges, g.cv_pairs,
+                                                 X, params.weights)
+        for got, want, naive in ((emb.theta_s, want_s, naive_s),
+                                 (emb.theta_t, want_t, naive_t)):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+            assert np.allclose(got, naive, rtol=0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_raise(self, random_graph, bad):
+        g, X = random_graph(num_nodes=12, seed=4)
+        X[int(g.cp_edges[0, 1])] = bad
+        params = ModelParams.init(5, 4, 2, np.random.default_rng(5))
+        with pytest.raises(NumericalError, match="non-finite"):
+            embed_all(g, X, params)
+
+    def test_feature_shape_mismatch_rejected(self, random_graph):
+        g, X = random_graph(num_nodes=12, seed=4)
+        params = ModelParams.init(5, 4, 2, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="shape"):
+            embed_all(g, X[:-1], params)
+        with pytest.raises(ValueError, match="shape"):
+            embed_all(g, X[:, :-1], params)
 
 
 class TestPersistence:
