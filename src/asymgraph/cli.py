@@ -149,7 +149,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     write_manifest(out, "train", dataclasses.asdict(cfg),
                    {"root_seed": cfg.root_seed, "split_seed": split_seed,
-                    "split": args.split, "threads": args.threads},
+                    "split": args.split},
                    {"graph": args.graph, "features": args.features,
                     "config": args.config})
     trainer.save_config(cfg, out / "config.txt")
@@ -212,8 +212,7 @@ def cmd_recommend(args) -> int:
         raise DataFormatError(f"unknown product keys: {unknown[:5]}")
     ids = [km.id_of(k) for k in keys]
     entries = retrieval.batch_recommend(index, ids, args.k,
-                                        filter=args.filter, mode=args.mode,
-                                        threads=args.threads)
+                                        filter=args.filter, mode=args.mode)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for key, entry in zip(keys, entries):
@@ -259,13 +258,12 @@ def cmd_eval(args) -> int:
     write_manifest(out, "eval",
                    {"task": args.task, "ks": list(ks),
                     "no_coview": args.no_coview},
-                   {"split_seed": args.split_seed, "threads": args.threads},
+                   {"split_seed": args.split_seed},
                    {"graph": args.graph, "features": args.features,
                     "model": str(Path(args.model) / "model.ckpt")})
     report = evaluation.run_task(
         args.task, g, features, params, split_seed=args.split_seed, ks=ks,
-        use_coview=not args.no_coview,
-        threads=args.threads)
+        use_coview=not args.no_coview)
     rows = report.rows()
     with open(out / "metrics.tsv", "w", encoding="utf-8") as f:
         f.write("metric\tvalue\n")
@@ -317,7 +315,6 @@ def build_parser() -> _Parser:
     p.add_argument("--no-coview", action="store_true",
                    help="train on co-purchase edges only")
     p.add_argument("--resume", help="training-state file to continue from")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("embed", help="dump embeddings for every product")
@@ -335,7 +332,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["related", "similar"], default="related")
     p.add_argument("--filter", choices=list(retrieval.FILTERS), default="none")
     p.add_argument("--out", help="output TSV (default stdout)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(fn=cmd_recommend)
 
     p = sub.add_parser("coldstart", help="recommend for cold products")
@@ -358,7 +354,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ks", default="5,10,20")
     p.add_argument("--no-coview", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(fn=cmd_eval)
     return parser
 

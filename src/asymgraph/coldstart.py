@@ -53,20 +53,14 @@ def find_warm_neighbors(features: np.ndarray, vec: np.ndarray, k_sim: int,
     norms = np.linalg.norm(features, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     cos = (features @ vec) / (safe * np.linalg.norm(vec))
+    ineligible = np.empty(0, dtype=np.int64)
     if eligible is not None:
-        mask = np.zeros(len(cos), dtype=bool)
-        mask[eligible] = True
-        cos = np.where(mask, cos, -np.inf)
-    pool = np.flatnonzero(~np.isneginf(cos))
-    k = min(k_sim, len(pool))
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    # Only scores at or above the k-th largest can be picked; `~(<)` also
-    # keeps NaN rows, which sort after every number as in a full sort.
-    scores = cos[pool]
-    kth = -np.partition(-scores, k - 1)[k - 1]
-    cand = pool[~(scores < kth)]
-    return cand[np.lexsort((cand, -cos[cand]))[:k]].astype(np.int64)
+        mask = np.ones(len(cos), dtype=bool)
+        mask[eligible] = False
+        ineligible = np.flatnonzero(mask)
+    top = retrieval.top_k_by_score(cos[None, :], k_sim,
+                                   np.zeros_like(ineligible), ineligible)[0]
+    return np.array([i for i, _ in top], dtype=np.int64)
 
 
 def attach_and_embed(g: DirectedProductGraph, features: np.ndarray,
@@ -108,4 +102,5 @@ def recommend_for_cold(theta_s_cold: np.ndarray,
     scores = index.theta_t @ theta_s_cold
     excl = np.empty(0, dtype=np.int64) if exclude is None \
         else np.asarray(exclude, dtype=np.int64)
-    return retrieval.top_k_by_score(scores, k, excl)
+    return retrieval.top_k_by_score(scores[None, :], k, np.zeros_like(excl),
+                                    excl)[0]

@@ -93,14 +93,12 @@ def make_selection_bias_split(g: DirectedProductGraph, ratios=DEFAULT_RATIOS,
     evaluation balanced.
     """
     base = make_edge_split(g, ratios, seed)
-    seen = set()
-    for a, b in base.train_edges:
-        for c in g.cv_out.neighbors(b):
-            c = int(c)
-            if c == a or g.has_cp_edge(int(a), c):
-                continue
-            seen.add((int(a), c))
-    synth = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
+    deg, c = g.cv_out.rows(base.train_edges[:, 1])
+    a = np.repeat(base.train_edges[:, 0], deg)
+    ok = (c != a) & ~has_cp_edges(g, a, c)
+    # distinct pairs in (a, c) order, as sorted `a * n + c` keys
+    keys = np.unique(a[ok] * g.num_nodes + c[ok])
+    synth = np.stack([keys // g.num_nodes, keys % g.num_nodes], axis=1)
     cap = len(base.test_edges)
     # balance against the held-out edges; with no held-out edges the
     # synthesized relationships are the whole test set
@@ -165,11 +163,9 @@ class MetricReport:
 
 
 def rank_queries(index: retrieval.EmbeddingIndex, queries, k: int,
-                 filter: str = "exclude_train_neighbors",
-                 threads: int = 1) -> dict[int, list[int]]:
+                 filter: str = "exclude_train_neighbors") -> dict[int, list[int]]:
     """Top-k ranked ids per query with the standard exclusion filter."""
-    entries = retrieval.batch_recommend(index, queries, k, filter=filter,
-                                        threads=threads)
+    entries = retrieval.batch_recommend(index, queries, k, filter=filter)
     return {e.query: [i for i, _ in e.results] for e in entries}
 
 
@@ -280,17 +276,17 @@ def auc_direction(g: DirectedProductGraph, test_edges: np.ndarray,
 # Task runners
 # ----------------------------------------------------------------------
 
-def _ranking_report(g_train, emb, test_edges, ks, threads=1) -> MetricReport:
+def _ranking_report(g_train, emb, test_edges, ks) -> MetricReport:
     index = retrieval.EmbeddingIndex.build(emb, graph=g_train)
     queries = np.unique(np.asarray(test_edges)[:, 0])
-    rankings = rank_queries(index, queries, k=max(ks), threads=threads)
+    rankings = rank_queries(index, queries, k=max(ks))
     return hitrate_mrr(rankings, test_edges, ks)
 
 
 def run_task(task: str, g: DirectedProductGraph, features: np.ndarray,
              params: ModelParams, split_seed: int = 0, ks=DEFAULT_KS,
-             ratios=DEFAULT_RATIOS, use_coview: bool = True, k_sim: int = 5,
-             threads: int = 1) -> MetricReport:
+             ratios=DEFAULT_RATIOS, use_coview: bool = True,
+             k_sim: int = 5) -> MetricReport:
     """Run one offline task end to end against a trained model.
 
     The split is rebuilt deterministically from (graph, split_seed), so a
@@ -304,7 +300,7 @@ def run_task(task: str, g: DirectedProductGraph, features: np.ndarray,
         g_train = train_graph(g, split, use_coview=use_coview)
         emb = embed_all(g_train, features, params)
         if task == "node-rec":
-            return _ranking_report(g_train, emb, split.test_edges, ks, threads)
+            return _ranking_report(g_train, emb, split.test_edges, ks)
         if task == "lp-exist":
             pos = relevance_scores(emb, split.test_edges)
             non_edges = sample_non_edges(g, len(split.test_edges), split_seed)
@@ -322,10 +318,10 @@ def run_task(task: str, g: DirectedProductGraph, features: np.ndarray,
         split = make_selection_bias_split(g, ratios, split_seed)
         g_train = train_graph(g, split, use_coview=use_coview)
         emb = embed_all(g_train, features, params)
-        report = _ranking_report(g_train, emb, split.test_edges, ks, threads)
+        report = _ranking_report(g_train, emb, split.test_edges, ks)
         synth = split.synth_test_edges
         if synth is not None and len(synth):
-            sub = _ranking_report(g_train, emb, synth, ks, threads)
+            sub = _ranking_report(g_train, emb, synth, ks)
             for k in ks:
                 report.hitrate[f"{k}_synth"] = sub.hitrate[k]
                 report.mrr[f"{k}_synth"] = sub.mrr[k]

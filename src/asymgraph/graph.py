@@ -76,6 +76,15 @@ class Adjacency:
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
+    def rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Degree of each node and their neighbor lists concatenated."""
+        starts = self.indptr[nodes]
+        deg = self.indptr[nodes + 1] - starts
+        first = np.cumsum(deg) - deg    # where each row starts in the output
+        pos = np.arange(deg.sum(), dtype=np.int64) \
+            + np.repeat(starts - first, deg)
+        return deg, self.indices[pos]
+
     def degree(self, u: int) -> int:
         return int(self.indptr[u + 1] - self.indptr[u])
 

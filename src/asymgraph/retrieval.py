@@ -1,31 +1,27 @@
 """Top-k retrieval over trained embeddings.
 
 Related-product queries score source(q) . target(v); similar-product
-queries score source(q) . source(v). The default engine is an exact full
-scan; an optional partition-based approximate engine hides behind the
-same interface. Ties break by ascending id so results are deterministic.
+queries score source(q) . source(v). Every ranking goes through one exact
+engine, `top_k_by_score`: brute-force scores for a block of queries, then
+a partial selection of each row's best k. Ties break by ascending id so
+results are deterministic.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from .graph import DirectedProductGraph, KeyMap
 from .model import DualEmbeddings
 
 FILTERS = ("none", "exclude_query", "exclude_train_neighbors")
-MODES = ("exact", "approximate")
 
-
-@dataclass
-class _Partitions:
-    centroids: np.ndarray
-    members: list[np.ndarray]
+# Score-block budget: rows per block = this many bytes of float64 scores
+# over the catalogue. Larger blocks gain little and raise the peak memory.
+SCORE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -34,10 +30,6 @@ class EmbeddingIndex:
     theta_t: np.ndarray
     key_map: KeyMap | None = None
     graph: DirectedProductGraph | None = None
-    mode: str = "exact"
-    nprobe: int = 8
-    _parts_t: _Partitions | None = field(default=None, repr=False)
-    _parts_s: _Partitions | None = field(default=None, repr=False)
 
     @property
     def num_products(self) -> int:
@@ -45,120 +37,100 @@ class EmbeddingIndex:
 
     @classmethod
     def build(cls, emb: DualEmbeddings, key_map: KeyMap | None = None,
-              graph: DirectedProductGraph | None = None, mode: str = "exact",
-              num_clusters: int | None = None, nprobe: int = 8,
-              seed: int = 0) -> "EmbeddingIndex":
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        idx = cls(theta_s=emb.theta_s, theta_t=emb.theta_t,
-                  key_map=key_map, graph=graph, mode=mode, nprobe=nprobe)
-        if mode == "approximate":
-            n = idx.num_products
-            k = num_clusters or max(1, int(np.sqrt(n)))
-            idx._parts_t = _partition(emb.theta_t, k, seed)
-            idx._parts_s = _partition(emb.theta_s, k, seed + 1)
-        return idx
+              graph: DirectedProductGraph | None = None) -> "EmbeddingIndex":
+        return cls(theta_s=emb.theta_s, theta_t=emb.theta_t,
+                   key_map=key_map, graph=graph)
 
     def _check_query(self, q: int) -> None:
         if not 0 <= q < self.num_products:
             raise KeyError(f"unknown product id {q}")
 
 
-def _partition(mat: np.ndarray, k: int, seed: int) -> _Partitions:
-    k = min(k, len(mat)) or 1
-    centroids, labels = kmeans2(mat, k, minit="++", seed=seed)
-    members = [np.flatnonzero(labels == c) for c in range(len(centroids))]
-    return _Partitions(centroids=centroids, members=members)
+def top_k_by_score(scores: np.ndarray, k: int, exclude_rows: np.ndarray,
+                   exclude_ids: np.ndarray) -> list[list[tuple[int, float]]]:
+    """Best k of each row of a (queries, catalogue) score block, by
+    descending score, ties by ascending id.
+
+    The block is overwritten: entry (exclude_rows[j], exclude_ids[j]) is
+    set to -inf, and -inf entries are never returned. NaN scores rank
+    after every number. Only entries at or above a row's k-th score (found
+    by one partition of the block) are sorted.
+    """
+    b, n = scores.shape
+    k = min(k, n)
+    if k < 1:
+        return [[] for _ in range(b)]
+    scores[exclude_rows, exclude_ids] = -np.inf
+    kth = np.partition(scores, n - k, axis=1)[:, n - k, None]
+    # `~(<)` keeps NaN, which np.partition places above every number
+    rows, ids = np.nonzero(~(scores < kth))
+    vals = scores[rows, ids]
+    live = vals != -np.inf
+    rows, ids, vals = rows[live], ids[live], vals[live]
+    order = np.lexsort((ids, -vals, rows))
+    rows, ids, vals = rows[order], ids[order], vals[order]
+    counts = np.bincount(rows, minlength=b)
+    rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    keep = rank < k
+    ids, vals = ids[keep].tolist(), vals[keep].tolist()
+    ends = np.cumsum(np.minimum(counts, k)).tolist()
+    return [list(zip(ids[s:e], vals[s:e])) for s, e in zip([0] + ends, ends)]
 
 
-def _exclusions(index: EmbeddingIndex, q: int, filter: str) -> np.ndarray:
+def _exclusions(index: EmbeddingIndex, qs: np.ndarray,
+                filter: str) -> tuple[np.ndarray, np.ndarray]:
+    """(block row, id) pairs that a filter removes from each query's row."""
     if filter not in FILTERS:
         raise ValueError(f"filter must be one of {FILTERS}")
+    rows = np.arange(len(qs))
     if filter == "none":
-        return np.empty(0, dtype=np.int64)
+        return rows[:0], qs[:0]
     if filter == "exclude_query":
-        return np.asarray([q], dtype=np.int64)
+        return rows, qs
     if index.graph is None:
         raise ValueError("exclude_train_neighbors requires an index built "
                          "with the training graph")
-    return np.unique(np.concatenate([[q], index.graph.cp_out.neighbors(q)]))
+    deg, nbrs = index.graph.cp_out.rows(qs)
+    return (np.concatenate([rows, np.repeat(rows, deg)]),
+            np.concatenate([qs, nbrs]))
 
 
-def top_k_by_score(scores: np.ndarray, k: int,
-                   exclude: np.ndarray) -> list[tuple[int, float]]:
-    """Best k by descending score, ties by ascending id, minus exclusions.
-
-    Excluded ids are pushed to -inf, which no real score can reach since
-    embeddings are finite, so they sort past every legal candidate.
-    """
-    if len(exclude):
-        scores = scores.copy()
-        scores[exclude] = -np.inf
-    n = len(scores)
-    order = np.lexsort((np.arange(n), -scores))
-    out = []
-    for i in order:
-        if np.isneginf(scores[i]):
-            break  # only exclusions remain
-        out.append((int(i), float(scores[i])))
-        if len(out) == min(k, n):
-            break
-    return out
-
-
-def _query_vector(index: EmbeddingIndex, q: int) -> np.ndarray:
-    vec = index.theta_s[q]
-    if not np.any(vec):
-        warnings.warn(f"query {q} has a zero embedding; returning no results",
-                      stacklevel=3)
-    return vec
-
-
-def _scan_exact(index: EmbeddingIndex, vec: np.ndarray,
-                target: np.ndarray, k: int, exclude: np.ndarray):
-    return top_k_by_score(target @ vec, k, exclude)
-
-
-def _scan_approximate(index: EmbeddingIndex, vec: np.ndarray,
-                      parts: _Partitions, target: np.ndarray, k: int,
-                      exclude: np.ndarray):
-    scores = parts.centroids @ vec
-    probe = np.argsort(-scores, kind="stable")[: index.nprobe]
-    cand = np.concatenate([parts.members[c] for c in probe]) \
-        if len(probe) else np.empty(0, dtype=np.int64)
-    if len(cand) == 0:
-        return []
-    cand_scores = target[cand] @ vec
-    full = np.full(index.num_products, -np.inf)
-    full[cand] = cand_scores
-    return top_k_by_score(full, k, exclude)
+def _rank(index: EmbeddingIndex, qs: np.ndarray, k: int, filter: str,
+          target: np.ndarray) -> list[list[tuple[int, float]]]:
+    """Rankings for a block of known query ids."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    exclude_rows, exclude_ids = _exclusions(index, qs, filter)
+    scores = np.empty((len(qs), index.num_products))
+    for i, q in enumerate(qs):
+        # one GEMV per query: a block GEMM rounds differently, and a
+        # query's scores must not depend on its block
+        scores[i] = target @ index.theta_s[q]
+    results = top_k_by_score(scores, k, exclude_rows, exclude_ids)
+    for i in np.flatnonzero(~index.theta_s[qs].any(axis=1)):
+        warnings.warn(f"query {qs[i]} has a zero embedding; returning no "
+                      "results", stacklevel=3)
+        results[i] = []
+    return results
 
 
 def _recommend(index: EmbeddingIndex, q: int, k: int, filter: str,
-               target: np.ndarray, parts: _Partitions | None):
+               target: np.ndarray) -> list[tuple[int, float]]:
     index._check_query(q)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    vec = _query_vector(index, q)
-    if not np.any(vec):
-        return []
-    exclude = _exclusions(index, q, filter)
-    if index.mode == "approximate" and parts is not None:
-        return _scan_approximate(index, vec, parts, target, k, exclude)
-    return _scan_exact(index, vec, target, k, exclude)
+    return _rank(index, np.array([q], dtype=np.int64), k, filter, target)[0]
 
 
 def recommend_related(index: EmbeddingIndex, q: int, k: int,
                       filter: str = "none") -> list[tuple[int, float]]:
     """Top-k related products for query q by source(q) . target(v)."""
-    return _recommend(index, q, k, filter, index.theta_t, index._parts_t)
+    return _recommend(index, q, k, filter, index.theta_t)
 
 
 def recommend_similar(index: EmbeddingIndex, q: int, k: int,
                       filter: str = "exclude_query") -> list[tuple[int, float]]:
     """Top-k similar products by source(q) . source(v); the query itself
     is excluded by default since a unit vector is its own argmax."""
-    return _recommend(index, q, k, filter, index.theta_s, index._parts_s)
+    return _recommend(index, q, k, filter, index.theta_s)
 
 
 @dataclass
@@ -169,20 +141,23 @@ class BatchEntry:
 
 
 def batch_recommend(index: EmbeddingIndex, queries, k: int,
-                    filter: str = "none", mode: str = "related",
-                    threads: int = 1) -> list[BatchEntry]:
-    """Per-query recommendations; unknown ids become per-query error
-    entries while the rest proceed."""
-    fn = recommend_related if mode == "related" else recommend_similar
-
-    def run_one(q) -> BatchEntry:
+                    filter: str = "none",
+                    mode: str = "related") -> list[BatchEntry]:
+    """Per-query recommendations, ranked in blocks of SCORE_BLOCK_BYTES;
+    unknown ids become per-query error entries while the rest proceed."""
+    target = index.theta_t if mode == "related" else index.theta_s
+    entries = [BatchEntry(query=int(q)) for q in queries]
+    known = []
+    for e in entries:
         try:
-            return BatchEntry(query=int(q), results=fn(index, int(q), k, filter))
+            index._check_query(e.query)
+            known.append(e)
         except KeyError as exc:
-            return BatchEntry(query=int(q), error=str(exc))
-
-    queries = list(queries)
-    if threads > 1 and len(queries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, queries))
-    return [run_one(q) for q in queries]
+            e.error = str(exc)
+    step = max(1, SCORE_BLOCK_BYTES // (8 * max(index.num_products, 1)))
+    for start in range(0, len(known), step):
+        block = known[start:start + step]
+        qs = np.array([e.query for e in block], dtype=np.int64)
+        for e, res in zip(block, _rank(index, qs, k, filter, target)):
+            e.results = res
+    return entries

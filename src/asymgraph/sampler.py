@@ -68,12 +68,9 @@ def _empty_block(nodes: np.ndarray) -> LayerBlock:
 
 def _sample_rows(adj, nodes, cap, rng) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated sampled neighbor lists plus CSR offsets."""
-    starts = adj.indptr[nodes]
-    deg = adj.indptr[nodes + 1] - starts
+    deg, nbrs = adj.rows(nodes)
     ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
     np.cumsum(deg, out=ptr[1:])
-    # flat index into adj.indices of every neighbor, row after row
-    pos = np.arange(ptr[-1], dtype=np.int64) + np.repeat(starts - ptr[:-1], deg)
     if cap is not None and (deg > cap).any():
         over = deg > cap
         in_over = np.repeat(over, deg)
@@ -84,11 +81,11 @@ def _sample_rows(adj, nodes, cap, rng) -> tuple[np.ndarray, np.ndarray]:
         row_start = np.repeat(np.cumsum(over_deg) - over_deg, over_deg)
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order)) - row_start
-        keep = np.ones(len(pos), dtype=bool)
+        keep = np.ones(len(nbrs), dtype=bool)
         keep[in_over] = rank < cap
-        pos = pos[keep]
+        nbrs = nbrs[keep]
         np.cumsum(np.minimum(deg, cap), out=ptr[1:])
-    return ptr, adj.indices[pos]
+    return ptr, nbrs
 
 
 def _sorted_ids(num_nodes: int, *ids: np.ndarray) -> np.ndarray:

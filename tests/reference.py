@@ -81,6 +81,24 @@ def brute_top_k(scores, k, exclude=()):
     return [(i, -negs) for negs, i in ranked[:k]]
 
 
+def lexsort_top_k(scores, k, exclude):
+    """One row's best k by a full lexsort on (-score, id), excluded ids
+    pushed to -inf; stops at the first -inf, so exclusions never appear."""
+    if len(exclude):
+        scores = scores.copy()
+        scores[exclude] = -np.inf
+    n = len(scores)
+    order = np.lexsort((np.arange(n), -scores))
+    out = []
+    for i in order:
+        if np.isneginf(scores[i]):
+            break  # only exclusions remain
+        out.append((int(i), float(scores[i])))
+        if len(out) == min(k, n):
+            break
+    return out
+
+
 def brute_hitrate_mrr(rankings, test_edges, k):
     hits, rrs = [], []
     for u, v in test_edges:
@@ -200,6 +218,33 @@ def sort_build_graph(cp_pairs, cv_pairs, num_nodes):
                         ("cv_out", cv_both), ("cv_in", cv_both[:, ::-1])):
         out[name + "_indptr"], out[name + "_indices"] = csr(pairs)
     return out
+
+
+def loop_selection_bias_split(g, ratios, seed):
+    """The selection-bias split with its set loop: (a, c) for each train
+    edge (a, b) and co-view partner c of b, unless c == a or a -> c is a
+    co-purchase edge; distinct and sorted, then capped at the held-out
+    test size by `rng.choice`. Returns (test_edges, synth_test_edges)."""
+    from asymgraph.evaluation import make_edge_split
+    from asymgraph.util import STREAM_SPLIT, derive_rng
+
+    base = make_edge_split(g, ratios, seed)
+    seen = set()
+    for a, b in base.train_edges:
+        for c in g.cv_out.neighbors(b):
+            c = int(c)
+            if c == a or g.has_cp_edge(int(a), c):
+                continue
+            seen.add((int(a), c))
+    synth = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
+    cap = len(base.test_edges)
+    if cap > 0 and len(synth) > cap:
+        rng = derive_rng(seed, STREAM_SPLIT, 1)
+        keep = rng.choice(len(synth), size=cap, replace=False)
+        synth = synth[np.sort(keep)]
+    test = np.concatenate([base.test_edges, synth]) if len(synth) \
+        else base.test_edges
+    return test, synth
 
 
 def lexsort_warm_neighbors(features, vec, k_sim, eligible=None):

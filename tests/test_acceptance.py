@@ -272,7 +272,7 @@ def test_criterion_8_retrieval_exactness():
 
 
 def test_criterion_9_pipeline_determinism(tmp_path):
-    """synth -> train(3 epochs, --threads 1) -> eval run twice from one
+    """synth -> train(3 epochs) -> eval run twice from one
     seed must produce byte-identical metric reports."""
 
     def run_pipeline(root: Path) -> tuple[bytes, bytes]:
@@ -287,13 +287,11 @@ def test_criterion_9_pipeline_determinism(tmp_path):
             ["train", "--graph", str(corpus_dir / "edges.tsv"),
              "--features", str(corpus_dir / "features.tsv"),
              "--config", str(cfg), "--out", str(model_dir),
-             "--split", "edge", "--split-seed", str(SPLIT_SEED),
-             "--threads", "1"],
+             "--split", "edge", "--split-seed", str(SPLIT_SEED)],
             ["eval", "--task", "node-rec", "--model", str(model_dir),
              "--graph", str(corpus_dir / "edges.tsv"),
              "--features", str(corpus_dir / "features.tsv"),
-             "--split-seed", str(SPLIT_SEED), "--out", str(eval_dir),
-             "--threads", "1"],
+             "--split-seed", str(SPLIT_SEED), "--out", str(eval_dir)],
         ]
         for step in steps:
             proc = subprocess.run([sys.executable, "-m", "asymgraph", *step],

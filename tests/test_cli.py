@@ -96,7 +96,7 @@ def trained(workspace, tmp_path_factory):
     proc = run_cli("train", "--graph", str(out / "edges.tsv"),
                    "--features", str(out / "features.tsv"),
                    "--config", str(cfg), "--out", str(model_dir),
-                   "--split", "edge", "--split-seed", "0", "--threads", "1")
+                   "--split", "edge", "--split-seed", "0")
     assert proc.returncode == 0, proc.stderr
     return model_dir
 
@@ -181,8 +181,7 @@ def test_eval_command_writes_reports(workspace, trained, tmp_path):
     proc = run_cli("eval", "--task", "node-rec", "--model", str(trained),
                    "--graph", str(out / "edges.tsv"),
                    "--features", str(out / "features.tsv"),
-                   "--split-seed", "0", "--out", str(eval_dir),
-                   "--threads", "1")
+                   "--split-seed", "0", "--out", str(eval_dir))
     assert proc.returncode == 0, proc.stderr
     metrics = (eval_dir / "metrics.tsv").read_text().splitlines()
     assert metrics[0] == "metric\tvalue"
@@ -210,7 +209,7 @@ def test_numerical_failure_exits_three(tmp_path):
                    "embed_dim = 4\nbatch_size = 8\nnum_negatives = 1\n")
     proc = run_cli("train", "--graph", str(edges), "--features", str(features),
                    "--config", str(cfg), "--out", str(tmp_path / "m"),
-                   "--split", "none", "--threads", "1")
+                   "--split", "none")
     assert proc.returncode == 3
     assert "non-finite" in proc.stderr
 

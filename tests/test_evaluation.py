@@ -10,7 +10,8 @@ from asymgraph.evaluation import (auc_direction, auc_existence, hitrate_mrr,
 from asymgraph.graph import build_graph, has_cp_edges
 from asymgraph.model import DualEmbeddings
 from asymgraph.util import STREAM_EVAL, derive_rng
-from reference import brute_auc, brute_hitrate_mrr, loop_sample_non_edges
+from reference import (brute_auc, brute_hitrate_mrr, loop_sample_non_edges,
+                       loop_selection_bias_split)
 
 
 class TestSplits:
@@ -67,6 +68,29 @@ class TestSplits:
         split = make_selection_bias_split(g, seed=0)
         base_test = len(split.test_edges) - len(split.synth_test_edges)
         assert len(split.synth_test_edges) <= base_test
+
+    # a cp path under a complete co-view graph: far more transitive pairs
+    # than held-out edges, so the cap's rng.choice runs
+    @example(12, [(i, i + 1) for i in range(11)],
+             [(i, j) for i in range(12) for j in range(i + 1, 12)],
+             (0.75, 0.05, 0.20), 0)
+    @given(st.integers(2, 15),
+           st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)),
+                    max_size=40),
+           st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)),
+                    max_size=40),
+           st.sampled_from([(0.75, 0.05, 0.20), (1.0, 0.0, 0.0),
+                            (0.5, 0.0, 0.5)]),
+           st.integers(0, 3))
+    def test_selection_bias_matches_loop_oracle(self, n, cp, cv, ratios, seed):
+        cp = [(u % n, v % n) for u, v in cp]
+        cv = [(u % n, v % n) for u, v in cv]
+        g = build_graph(cp, cv, n)
+        split = make_selection_bias_split(g, ratios, seed)
+        test, synth = loop_selection_bias_split(g, ratios, seed)
+        assert split.synth_test_edges.dtype == synth.dtype
+        assert np.array_equal(split.synth_test_edges, synth)
+        assert np.array_equal(split.test_edges, test)
 
     def test_node_split_counts_and_disjoint(self, random_graph):
         g, _ = random_graph(num_nodes=40, seed=6)

@@ -1,11 +1,19 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from asymgraph import retrieval
 from asymgraph.graph import build_graph
 from asymgraph.model import DualEmbeddings
 from asymgraph.retrieval import (EmbeddingIndex, batch_recommend,
-                                 recommend_related, recommend_similar)
-from reference import brute_top_k
+                                 recommend_related, recommend_similar,
+                                 top_k_by_score)
+from reference import brute_top_k, lexsort_top_k
 
 
 def make_index(theta_s, theta_t, **kw):
@@ -118,16 +126,6 @@ def test_batch_reports_per_query_errors():
     assert batch_recommend(index, [], 2) == []
 
 
-def test_batch_threads_identical():
-    rng = np.random.default_rng(8)
-    theta_s = unit_rows(rng.normal(size=(50, 8)))
-    theta_t = unit_rows(rng.normal(size=(50, 8)))
-    index = make_index(theta_s, theta_t)
-    seq = batch_recommend(index, range(50), 5, threads=1)
-    par = batch_recommend(index, range(50), 5, threads=4)
-    assert [e.results for e in seq] == [e.results for e in par]
-
-
 def test_exact_matches_brute_force_with_ties():
     rng = np.random.default_rng(9)
     # quantized embeddings force plenty of exact score ties
@@ -141,24 +139,80 @@ def test_exact_matches_brute_force_with_ties():
         assert [i for i, _ in got] == [i for i, _ in want]
 
 
-def test_approximate_mode_recall(corpus):
-    """Partition-probing index must keep recall@10 >= 0.95 against the
-    exact scan on the synthetic corpus embeddings."""
-    from asymgraph.model import ModelParams, embed_all
-    from asymgraph.util import derive_rng
-    data, g = corpus
-    params = ModelParams.init(data.features.shape[1], 32, 2, derive_rng(1, 0))
-    emb = embed_all(g, data.features, params)
-    exact = EmbeddingIndex.build(emb)
-    approx = EmbeddingIndex.build(emb, mode="approximate", nprobe=12, seed=0)
-    rng = np.random.default_rng(0)
-    queries = rng.choice(g.num_nodes, size=150, replace=False)
-    recalls = []
-    for q in queries:
-        q = int(q)
-        if not np.any(emb.theta_s[q]):
-            continue
-        true_top = {i for i, _ in recommend_related(exact, q, 10)}
-        got_top = {i for i, _ in recommend_related(approx, q, 10)}
-        recalls.append(len(true_top & got_top) / len(true_top))
-    assert np.mean(recalls) >= 0.95
+# quarter steps in [-1, 1]: many exact ties, and every sum is exact
+QUANT = st.integers(-4, 4).map(lambda x: x / 4)
+
+
+@st.composite
+def score_blocks(draw):
+    """A score block, k, and (row, id) exclusions with repeats; some rows
+    may be wholly excluded."""
+    b = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 25))
+    scores = draw(hnp.arrays(np.float64, (b, n), elements=QUANT))
+    pairs = draw(st.lists(st.tuples(st.integers(0, b - 1),
+                                    st.integers(0, n - 1)), max_size=3 * n))
+    for r in draw(st.lists(st.integers(0, b - 1), max_size=2)):
+        pairs += [(r, i) for i in range(n)]
+    rows = np.array([r for r, _ in pairs], dtype=np.int64)
+    ids = np.array([i for _, i in pairs], dtype=np.int64)
+    return scores, draw(st.integers(1, n + 3)), rows, ids
+
+
+@given(score_blocks())
+def test_top_k_by_score_matches_lexsort_oracle(case):
+    scores, k, rows, ids = case
+    got = top_k_by_score(scores.copy(), k, rows, ids)
+    want = [lexsort_top_k(scores[r], k, ids[rows == r])
+            for r in range(len(scores))]
+    assert got == want
+
+
+@st.composite
+def ranking_cases(draw):
+    """Quantised embeddings with zero query rows, a training graph, and a
+    query list with repeats and unknown ids."""
+    n = draw(st.integers(1, 20))
+    d = draw(st.integers(1, 3))
+    theta_s = draw(hnp.arrays(np.float64, (n, d), elements=QUANT))
+    theta_t = draw(hnp.arrays(np.float64, (n, d), elements=QUANT))
+    cp = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                       max_size=3 * n))
+    queries = draw(st.lists(st.integers(-1, n), min_size=1, max_size=12))
+    return (theta_s, theta_t, build_graph(cp, [], n), queries,
+            draw(st.integers(1, n + 2)), draw(st.sampled_from(retrieval.FILTERS)),
+            draw(st.sampled_from(["related", "similar"])))
+
+
+def _oracle_ranking(index, q, k, filter, mode):
+    target = index.theta_t if mode == "related" else index.theta_s
+    if not np.any(index.theta_s[q]):
+        return []
+    exclude = {"none": [], "exclude_query": [q],
+               "exclude_train_neighbors":
+                   [q] + index.graph.cp_out.neighbors(q).tolist()}[filter]
+    return lexsort_top_k(target @ index.theta_s[q], k,
+                         np.array(exclude, dtype=np.int64))
+
+
+@given(ranking_cases())
+def test_batch_matches_oracle_for_every_block_size(case):
+    """The same queries ranked as 1-row, 3-row and whole-list blocks give
+    the oracle's ids and score bits; zero query vectors warn and give []."""
+    theta_s, theta_t, g, queries, k, filter, mode = case
+    index = make_index(theta_s, theta_t, graph=g)
+    n = len(theta_s)
+    known = [q for q in queries if 0 <= q < n]
+    want = [_oracle_ranking(index, q, k, filter, mode) for q in known]
+    for budget in (1, 3 * 8 * n, retrieval.SCORE_BLOCK_BYTES):
+        with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", budget), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entries = batch_recommend(index, queries, k, filter=filter,
+                                      mode=mode)
+        assert [e.query for e in entries] == queries
+        assert [e.error is None for e in entries] == \
+            [0 <= q < n for q in queries]
+        assert [e.results for e in entries if e.error is None] == want
+        zero = sum(not np.any(theta_s[q]) for q in known)
+        assert sum("zero embedding" in str(w.message) for w in caught) == zero
