@@ -10,6 +10,7 @@ output directory writes a run manifest there before any other output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, evaluation, retrieval, synth, trainer
+from . import __version__, evaluation, formats, retrieval, synth, trainer
 from .coldstart import ColdStartRequest, attach_and_embed, recommend_for_cold
 from .errors import DataFormatError, NumericalError
 from .graph import (build_graph, dump_edge_file, graph_stats, load_edge_file,
@@ -84,7 +85,8 @@ def _load_graph(edges_path, features_path):
 # ----------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    cfg = synth.load_synth_config(args.config) if args.config else synth.SynthConfig()
+    cfg = formats.load_config(args.config, synth.SynthConfig) if args.config \
+        else synth.SynthConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     out = Path(args.out)
@@ -133,7 +135,8 @@ def _resolve_split(g, kind: str, split_seed: int):
 
 
 def cmd_train(args) -> int:
-    cfg = trainer.load_config(args.config) if args.config else trainer.TrainConfig()
+    cfg = formats.load_config(args.config, trainer.TrainConfig) if args.config \
+        else trainer.TrainConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, root_seed=args.seed)
     if args.epochs is not None:
@@ -146,15 +149,18 @@ def cmd_train(args) -> int:
     if args.no_coview and split is None:
         g_train = build_graph(g.cp_edges, np.empty((0, 2), dtype=np.int64),
                               g.num_nodes)
+    state = None
+    if args.resume:  # refuse a mismatched state before writing anything
+        state = trainer.resume(args.resume)
+        trainer.check_resumable(state, cfg, g_train, features)
     out = Path(args.out)
     write_manifest(out, "train", dataclasses.asdict(cfg),
                    {"root_seed": cfg.root_seed, "split_seed": split_seed,
                     "split": args.split},
                    {"graph": args.graph, "features": args.features,
                     "config": args.config})
-    trainer.save_config(cfg, out / "config.txt")
+    formats.save_config(cfg, out / "config.txt")
     dump_edge_file(g_train, km, out / "graph.tsv")
-    state = trainer.resume(args.resume) if args.resume else None
     with open(out / "train_log.tsv", "a" if args.resume else "w",
               encoding="utf-8") as log_stream:
         result = trainer.train(g_train, features, cfg, split=split,
@@ -184,6 +190,12 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
+def _output(path):
+    """`path` opened for writing, or stdout (left open) when not given."""
+    return open(path, "w", encoding="utf-8") if path \
+        else contextlib.nullcontext(sys.stdout)
+
+
 def _emit_recommendations(stream, query_key, results, km) -> None:
     for rank, (idx, score) in enumerate(results, start=1):
         stream.write(f"{query_key}\t{rank}\t{km.key_of(idx)}\t{score:.6f}\n")
@@ -203,8 +215,7 @@ def cmd_recommend(args) -> int:
         graph = build_graph(cp, cv, len(km))
     index = retrieval.EmbeddingIndex.build(emb, key_map=km, graph=graph)
     if Path(args.query).exists():
-        with open(args.query, "r", encoding="utf-8") as f:
-            keys = [line.strip() for line in f if line.strip()]
+        keys = [s.strip() for _, s in formats.text_lines(args.query) if s.strip()]
     else:
         keys = [args.query]
     unknown = [k for k in keys if k not in km]
@@ -213,16 +224,12 @@ def cmd_recommend(args) -> int:
     ids = [km.id_of(k) for k in keys]
     entries = retrieval.batch_recommend(index, ids, args.k,
                                         filter=args.filter, mode=args.mode)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         for key, entry in zip(keys, entries):
             if entry.error:
                 log.error("query %s failed: %s", key, entry.error)
                 continue
             _emit_recommendations(out, key, entry.results, km)
-    finally:
-        if args.out:
-            out.close()
     return EXIT_OK
 
 
@@ -233,8 +240,7 @@ def cmd_coldstart(args) -> int:
     cold_features, cold_km = load_feature_file(args.cold)
     emb = embed_all(g, features, params)
     index = retrieval.EmbeddingIndex.build(emb, key_map=km, graph=g)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         for i in range(len(cold_km)):
             req = ColdStartRequest(key=cold_km.key_of(i),
                                    features=cold_features[i],
@@ -244,9 +250,6 @@ def cmd_coldstart(args) -> int:
             log.debug("cold %s attached to %s", req.key,
                       [km.key_of(int(w)) for w in warm])
             _emit_recommendations(out, req.key, results, km)
-    finally:
-        if args.out:
-            out.close()
     return EXIT_OK
 
 

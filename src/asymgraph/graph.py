@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataFormatError
+from .formats import read_rows, text_lines, write_pairs, write_rows
 
 
 class RelationKind(enum.Enum):
@@ -84,9 +85,6 @@ class Adjacency:
         pos = np.arange(deg.sum(), dtype=np.int64) \
             + np.repeat(starts - first, deg)
         return deg, self.indices[pos]
-
-    def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)
@@ -325,24 +323,22 @@ def load_edge_file(path, key_map: KeyMap | None = None):
     cp, cv = [], []
     bad_lines: list[int] = []
     unknown_lines: list[int] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
+    for lineno, line in text_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[2] not in ("cp", "cv"):
+            bad_lines.append(lineno)
+            continue
+        src, dst, kind = parts
+        if grow:
+            u, v = km.add(src), km.add(dst)
+        else:
+            if src not in km or dst not in km:
+                unknown_lines.append(lineno)
                 continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[2] not in ("cp", "cv"):
-                bad_lines.append(lineno)
-                continue
-            src, dst, kind = parts
-            if grow:
-                u, v = km.add(src), km.add(dst)
-            else:
-                if src not in km or dst not in km:
-                    unknown_lines.append(lineno)
-                    continue
-                u, v = km.id_of(src), km.id_of(dst)
-            (cp if kind == "cp" else cv).append((u, v))
+            u, v = km.id_of(src), km.id_of(dst)
+        (cp if kind == "cp" else cv).append((u, v))
     if bad_lines:
         raise DataFormatError(
             f"{path}: malformed edge lines {_fmt_lines(bad_lines)}")
@@ -365,63 +361,16 @@ def dump_edge_file(g: DirectedProductGraph, key_map: KeyMap, path) -> None:
     cv pairs are written once per unordered pair; loading symmetrizes them
     back, so a rebuild from the dump reproduces the graph.
     """
-    with open(path, "w", encoding="utf-8") as f:
-        for u, v in g.cp_edges:
-            f.write(f"{key_map.key_of(u)}\t{key_map.key_of(v)}\tcp\n")
-        for u, v in g.cv_pairs:
-            f.write(f"{key_map.key_of(u)}\t{key_map.key_of(v)}\tcv\n")
+    write_pairs(path, key_map, [(g.cp_edges, "cp"), (g.cv_pairs, "cv")])
 
 
 def load_feature_file(path):
-    """Read the feature file: header `<num_nodes>\\t<dim>`, then
-    `<key>\\t<f1>,<f2>,...` per product. Returns (features, key_map)."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        parts = header.split("\t")
-        if len(parts) != 2:
-            raise DataFormatError(f"{path}: bad feature header {header!r}")
-        try:
-            n, dim = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DataFormatError(
-                f"{path}: non-integer feature header {header!r}") from None
-        km = KeyMap()
-        rows = np.empty((n, dim), dtype=np.float64)
-        count = 0
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if count >= n:
-                raise DataFormatError(
-                    f"{path}: more rows than header declares on line {lineno}")
-            key, _, blob = line.partition("\t")
-            try:
-                vec = np.array(blob.split(","), dtype=np.float64)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: bad floats on line {lineno}") from None
-            if len(vec) != dim:
-                raise DataFormatError(
-                    f"{path}: line {lineno} has {len(vec)} values, expected {dim}")
-            if key in km:
-                raise DataFormatError(
-                    f"{path}: duplicate key {key!r} on line {lineno}")
-            km.add(key)
-            rows[count] = vec
-            count += 1
-    if count != n:
-        raise DataFormatError(f"{path}: header declares {n} rows, found {count}")
-    if not np.isfinite(rows).all():
-        raise DataFormatError(f"{path}: non-finite feature values")
-    return rows, km
+    """Read the feature file, text rows (see `formats`) of
+    `<key>\\t<f1>,<f2>,...`. Returns (features, key_map)."""
+    keys, (features,) = read_rows(path)
+    return features, KeyMap(keys)
 
 
 def dump_feature_file(features: np.ndarray, key_map: KeyMap, path) -> None:
-    from .util import fmt_float
-    n, dim = features.shape
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{n}\t{dim}\n")
-        for i in range(n):
-            blob = ",".join(fmt_float(x) for x in features[i])
-            f.write(f"{key_map.key_of(i)}\t{blob}\n")
+    write_rows(path, [key_map.key_of(i) for i in range(len(features))],
+               [features])

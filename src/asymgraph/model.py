@@ -17,16 +17,15 @@ graph's CSR adjacencies, with no tape, through the same per-layer step.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataFormatError, NumericalError
+from .errors import NumericalError
+from .formats import read_binary, read_rows, write_binary, write_rows
 from .graph import DirectedProductGraph, KeyMap
 from .sampler import SOURCE, TARGET, ComputationBlocks
-from .util import atomic_write, fmt_float
 
 CHECKPOINT_MAGIC = b"ASYMGEMB"
 CHECKPOINT_VERSION = 1
@@ -87,12 +86,6 @@ class DualEmbeddings:
     theta_s: np.ndarray
     theta_t: np.ndarray
 
-    def row_of(self, node: int) -> int:
-        i = int(np.searchsorted(self.nodes, node))
-        if i >= len(self.nodes) or self.nodes[i] != node:
-            raise KeyError(f"no embedding for node {node}")
-        return i
-
     def rows_of(self, nodes) -> np.ndarray:
         nodes = np.asarray(nodes, dtype=np.int64)
         idx = np.searchsorted(self.nodes, nodes)
@@ -149,9 +142,10 @@ def _layer(sel_cp, feed_cp, sel_cv, feed_cv, w: np.ndarray, l: int,
     return sum_cp, sum_cv, on_cp, on_cv, norms, h
 
 
-def _forward_cached(blocks: ComputationBlocks, features: np.ndarray,
-                    params: ModelParams) -> tuple[DualEmbeddings, Tape]:
-    """Run the layered aggregation, keeping intermediates for backward."""
+def forward(blocks: ComputationBlocks, features: np.ndarray,
+            params: ModelParams) -> tuple[DualEmbeddings, Tape]:
+    """Embeddings for the block seeds (rows align with blocks.seeds), plus
+    the tape that `backward` needs for the same weights."""
     if params.num_layers != blocks.num_layers:
         raise ValueError(
             f"blocks have {blocks.num_layers} layers, params {params.num_layers}")
@@ -178,13 +172,6 @@ def _forward_cached(blocks: ComputationBlocks, features: np.ndarray,
     emb = DualEmbeddings(nodes=blocks.seeds,
                          theta_s=H[(SOURCE, L)], theta_t=H[(TARGET, L)])
     return emb, Tape(num_layers=L, steps=steps)
-
-
-def forward(blocks: ComputationBlocks, features: np.ndarray,
-            params: ModelParams) -> tuple[DualEmbeddings, Tape]:
-    """Embeddings for the block seeds (rows align with blocks.seeds), plus
-    the tape that `backward` needs for the same weights."""
-    return _forward_cached(blocks, features, params)
 
 
 def backward(tape: Tape, params: ModelParams, loss_grad_s: np.ndarray,
@@ -269,104 +256,24 @@ def embed_all(g: DirectedProductGraph, features: np.ndarray,
 # ----------------------------------------------------------------------
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Binary checkpoint: magic, version, dims, then little-endian float64
-    weight matrices in row-major order. Written atomically."""
-    with atomic_write(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<IIII", CHECKPOINT_VERSION, params.num_layers,
-                            params.input_dim, params.embed_dim))
-        for w in params.weights:
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+    """Binary checkpoint (see `formats`): one stack of weight matrices."""
+    write_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, [params.weights])
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise DataFormatError(f"{path}: bad checkpoint magic {magic!r}")
-        header = f.read(16)
-        if len(header) != 16:
-            raise DataFormatError(f"{path}: truncated checkpoint header")
-        version, L, d_in, d_h = struct.unpack("<IIII", header)
-        if version != CHECKPOINT_VERSION:
-            raise DataFormatError(
-                f"{path}: unsupported checkpoint version {version}")
-        weights = []
-        for l in range(L):
-            rows = d_in if l == 0 else d_h
-            raw = f.read(rows * d_h * 8)
-            if len(raw) != rows * d_h * 8:
-                raise DataFormatError(f"{path}: truncated weight {l}")
-            weights.append(np.frombuffer(raw, dtype="<f8").reshape(rows, d_h).copy())
-        if f.read(1):
-            raise DataFormatError(f"{path}: trailing bytes after weights")
+    (weights,), _ = read_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 1)
     return ModelParams(weights)
 
 
 def dump_embeddings(emb: DualEmbeddings, key_map: KeyMap, path) -> None:
-    """Text dump: header `<num_nodes>\\t<dim>`, then one line per product
-    `<key>\\tS:<floats>\\tT:<floats>` with comma-separated values.
-    Written atomically."""
-    n, d = emb.theta_s.shape
-    with atomic_write(path) as f:
-        f.write(f"{n}\t{d}\n")
-        for i, node in enumerate(emb.nodes):
-            s = ",".join(fmt_float(x) for x in emb.theta_s[i])
-            t = ",".join(fmt_float(x) for x in emb.theta_t[i])
-            f.write(f"{key_map.key_of(int(node))}\tS:{s}\tT:{t}\n")
+    """Text rows (see `formats`): `<key>\\tS:<floats>\\tT:<floats>` per
+    product."""
+    write_rows(path, [key_map.key_of(int(u)) for u in emb.nodes],
+               [emb.theta_s, emb.theta_t], ("S:", "T:"))
 
 
 def load_embeddings(path) -> tuple[DualEmbeddings, KeyMap]:
-    """Read a `dump_embeddings` file. Malformed input (bad header, ragged
-    or non-numeric rows, non-finite values, duplicate keys, a row count
-    that disagrees with the header) raises DataFormatError naming the
-    line."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split("\t")
-        try:
-            n, d = map(int, header)
-        except ValueError:
-            n = d = -1
-        if n < 0 or d < 0:
-            raise DataFormatError(f"{path}: bad embedding header on line 1")
-        km = KeyMap()
-        theta_s = np.empty((n, d))
-        theta_t = np.empty((n, d))
-        count = 0
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not parts[1].startswith("S:") \
-                    or not parts[2].startswith("T:"):
-                raise DataFormatError(f"{path}: bad embedding line {lineno}")
-            if count >= n:
-                raise DataFormatError(
-                    f"{path}: line {lineno} is beyond the {n} rows the "
-                    f"header declares")
-            if parts[0] in km:
-                raise DataFormatError(
-                    f"{path}: duplicate key {parts[0]!r} on line {lineno}")
-            try:
-                s = np.array(parts[1][2:].split(","), dtype=np.float64)
-                t = np.array(parts[2][2:].split(","), dtype=np.float64)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: bad floats on line {lineno}") from None
-            if len(s) != d or len(t) != d:
-                raise DataFormatError(
-                    f"{path}: line {lineno} has {len(s)} S and {len(t)} T "
-                    f"values, expected {d}")
-            if not (np.isfinite(s).all() and np.isfinite(t).all()):
-                raise DataFormatError(
-                    f"{path}: non-finite value on line {lineno}")
-            km.add(parts[0])
-            theta_s[count] = s
-            theta_t[count] = t
-            count += 1
-        if count != n:
-            raise DataFormatError(
-                f"{path}: header declares {n} rows, found {count}")
-    emb = DualEmbeddings(nodes=np.arange(n), theta_s=theta_s, theta_t=theta_t)
-    return emb, km
+    """Read a `dump_embeddings` file; malformed input raises
+    DataFormatError naming the line."""
+    keys, (theta_s, theta_t) = read_rows(path, ("S:", "T:"))
+    return DualEmbeddings(np.arange(len(keys)), theta_s, theta_t), KeyMap(keys)

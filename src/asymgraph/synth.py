@@ -16,13 +16,12 @@ selection-bias task probes.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .formats import write_pairs
 from .graph import KeyMap, dump_feature_file
 from .util import STREAM_SYNTH, derive_rng
 
@@ -56,30 +55,6 @@ class SynthConfig:
             raise ValueError("noise_std must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-
-
-def load_synth_config(path) -> SynthConfig:
-    values = {}
-    fields = {f.name: f for f in dataclasses.fields(SynthConfig)}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if not sep or key not in fields:
-                raise DataFormatError(f"{path}: bad config line {lineno}: {line!r}")
-            try:
-                caster = int if fields[key].type == "int" else float
-                values[key] = caster(raw)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: bad value for {key} on line {lineno}") from None
-    try:
-        return SynthConfig(**values)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -180,15 +155,10 @@ def write_corpus(data: SynthData, out_dir) -> dict[str, Path]:
              "features": out / "features.tsv",
              "ground_truth": out / "ground_truth.tsv"}
     km = data.key_map
-    with open(paths["edges"], "w", encoding="utf-8") as f:
-        for u, v in sorted(map(tuple, data.cp_pairs)):
-            f.write(f"{km.key_of(u)}\t{km.key_of(v)}\tcp\n")
-        for u, v in sorted(map(tuple, data.cv_pairs)):
-            f.write(f"{km.key_of(u)}\t{km.key_of(v)}\tcv\n")
+    write_pairs(paths["edges"], km, [(sorted(map(tuple, data.cp_pairs)), "cp"),
+                                     (sorted(map(tuple, data.cv_pairs)), "cv")])
     dump_feature_file(data.features, km, paths["features"])
-    with open(paths["ground_truth"], "w", encoding="utf-8") as f:
-        for u, v in sorted(map(tuple, data.direct_truth)):
-            f.write(f"{km.key_of(u)}\t{km.key_of(v)}\tdirect\n")
-        for u, v in sorted(map(tuple, data.transitive_truth)):
-            f.write(f"{km.key_of(u)}\t{km.key_of(v)}\ttransitive\n")
+    write_pairs(paths["ground_truth"], km,
+                [(sorted(map(tuple, data.direct_truth)), "direct"),
+                 (sorted(map(tuple, data.transitive_truth)), "transitive")])
     return paths

@@ -8,6 +8,7 @@ uninterrupted run would have produced.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import struct
 import time
 from dataclasses import dataclass, field
@@ -17,16 +18,21 @@ import numpy as np
 
 from . import retrieval
 from .errors import DataFormatError, NumericalError
+from .formats import read_binary, write_binary
 from .graph import DirectedProductGraph, one_way_mask
-from .loss import NUM_TERMS, LossBatch, asymmetric_loss, loss_grad
+from .loss import (NEGATIVE_FORMS, NUM_TERMS, LossBatch, asymmetric_loss,
+                   loss_grad)
 from .model import (ModelParams, backward, embed_all, forward,
                     save_checkpoint)
 from .sampler import sample_blocks, sample_negatives
 from .util import (STREAM_BLOCKS, STREAM_COVIEW, STREAM_INIT,
-                   STREAM_NEGATIVES, STREAM_SHUFFLE, atomic_write, derive_rng)
+                   STREAM_NEGATIVES, STREAM_SHUFFLE, derive_rng)
 
 STATE_MAGIC = b"ASYMGTRN"
-STATE_VERSION = 1
+STATE_VERSION = 2
+# Adam step, next epoch, best epoch, epochs since best, best metric, and
+# the `run_digest` of the run that wrote the state
+STATE_TAIL = struct.Struct("<qqqqd32s")
 
 
 def derive_seed(*tokens: int) -> int:
@@ -53,17 +59,17 @@ class TrainConfig:
     term_weights: tuple = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        # one type per field, so equal configs have equal `run_digest`s
+        self.lr, self.beta1, self.beta2, self.eps = map(
+            float, (self.lr, self.beta1, self.beta2, self.eps))
         self.fanouts = tuple(int(x) for x in self.fanouts)
         self.term_weights = tuple(float(x) for x in self.term_weights)
-        positive = {"lr": self.lr, "batch_size": self.batch_size,
-                    "max_epochs": self.max_epochs, "num_layers": self.num_layers,
-                    "embed_dim": self.embed_dim, "num_negatives": self.num_negatives,
-                    "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
-                    "patience": self.patience,
-                    "coview_per_batch": self.coview_per_batch}
-        for name, val in positive.items():
-            if val <= 0 and not (name == "lr" and val == 0.0):
-                raise ValueError(f"{name} must be positive, got {val}")
+        for name in ("lr", "batch_size", "max_epochs", "num_layers",
+                     "embed_dim", "num_negatives", "eps", "patience",
+                     "coview_per_batch"):
+            val = getattr(self, name)
+            if not 0 < val < np.inf and not (name == "lr" and val == 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {val}")
         if self.root_seed < 0:
             raise ValueError("root_seed must be non-negative")
         if len(self.fanouts) != self.num_layers:
@@ -73,54 +79,13 @@ class TrainConfig:
             raise ValueError("fanout caps must be >= 1")
         if len(self.term_weights) != NUM_TERMS:
             raise ValueError(f"expected {NUM_TERMS} term weights")
-
-
-_TUPLE_FIELDS = {"fanouts", "term_weights"}
-
-
-def load_config(path) -> TrainConfig:
-    """Parse a `key = value` config file mirroring TrainConfig fields."""
-    fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
-    values = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if not sep or key not in fields:
-                raise DataFormatError(
-                    f"{path}: bad config line {lineno}: {line!r}")
-            try:
-                if key in _TUPLE_FIELDS:
-                    values[key] = tuple(
-                        float(x) if key == "term_weights" else int(x)
-                        for x in raw.split(","))
-                elif key == "negative_form":
-                    values[key] = raw
-                elif key in ("batch_size", "max_epochs", "num_layers",
-                             "embed_dim", "num_negatives", "root_seed",
-                             "patience", "coview_per_batch"):
-                    values[key] = int(raw)
-                else:
-                    values[key] = float(raw)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: bad value for {key} on line {lineno}") from None
-    try:
-        return TrainConfig(**values)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-
-
-def save_config(cfg: TrainConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for fld in dataclasses.fields(TrainConfig):
-            val = getattr(cfg, fld.name)
-            if isinstance(val, tuple):
-                val = ",".join(str(x) for x in val)
-            f.write(f"{fld.name} = {val}\n")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(
+                    f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.negative_form not in NEGATIVE_FORMS:
+            raise ValueError(f"negative_form must be one of {NEGATIVE_FORMS}, "
+                             f"got {self.negative_form!r}")
 
 
 @dataclass
@@ -159,6 +124,7 @@ class TrainState:
     best_metric: float = -np.inf
     best_epoch: int = -1
     epochs_since_best: int = 0
+    digest: bytes = b""                 # `run_digest` of the writing run
 
 
 @dataclass
@@ -175,77 +141,60 @@ class TrainResult:
     history: list[EpochStats] = field(default_factory=list)
 
 
-def _write_matrices(f, mats: list[np.ndarray]) -> None:
-    for w in mats:
-        f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-
-
-def _read_matrix(f, rows: int, cols: int, path) -> np.ndarray:
-    raw = f.read(rows * cols * 8)
-    if len(raw) != rows * cols * 8:
-        raise DataFormatError(f"{path}: truncated training state")
-    return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-
-
 def save_train_state(state: TrainState, path) -> None:
-    """Binary training state, written atomically."""
+    """Binary training state (see `formats`): stacks of weights, Adam
+    moments m and v and best weights, then `STATE_TAIL`."""
     p = state.params
-    with atomic_write(path, "wb") as f:
-        f.write(STATE_MAGIC)
-        f.write(struct.pack("<IIII", STATE_VERSION, p.num_layers,
-                            p.input_dim, p.embed_dim))
-        _write_matrices(f, p.weights)
-        _write_matrices(f, state.adam.m)
-        _write_matrices(f, state.adam.v)
-        best = state.best_params if state.best_params is not None else p
-        _write_matrices(f, best.weights)
-        f.write(struct.pack("<qqqq", state.adam.t, state.epoch,
-                            state.best_epoch, state.epochs_since_best))
-        f.write(struct.pack("<d", state.best_metric))
+    best = state.best_params if state.best_params is not None else p
+    write_binary(path, STATE_MAGIC, STATE_VERSION,
+                 [p.weights, state.adam.m, state.adam.v, best.weights],
+                 STATE_TAIL.pack(state.adam.t, state.epoch, state.best_epoch,
+                                 state.epochs_since_best, state.best_metric,
+                                 state.digest))
 
 
 def resume(path) -> TrainState:
     """Load a training state; continuing from it reproduces the exact
     sequence an uninterrupted run would have produced."""
-    with open(path, "rb") as f:
-        magic = f.read(len(STATE_MAGIC))
-        if magic != STATE_MAGIC:
-            raise DataFormatError(f"{path}: bad training-state magic {magic!r}")
-        header = f.read(16)
-        if len(header) != 16:
-            raise DataFormatError(f"{path}: truncated training-state header")
-        version, L, d_in, d_h = struct.unpack("<IIII", header)
-        if version != STATE_VERSION:
-            raise DataFormatError(f"{path}: unsupported state version {version}")
-        shapes = [((d_in if l == 0 else d_h), d_h) for l in range(L)]
-        weights = [_read_matrix(f, r, c, path) for r, c in shapes]
-        m = [_read_matrix(f, r, c, path) for r, c in shapes]
-        v = [_read_matrix(f, r, c, path) for r, c in shapes]
-        best = [_read_matrix(f, r, c, path) for r, c in shapes]
-        tail = f.read(40)
-        if len(tail) != 40:
-            raise DataFormatError(f"{path}: truncated training-state footer")
-        adam_t, epoch, best_epoch, since_best = struct.unpack("<qqqq", tail[:32])
-        (best_metric,) = struct.unpack("<d", tail[32:])
+    (weights, m, v, best), tail = read_binary(
+        path, STATE_MAGIC, STATE_VERSION, 4, STATE_TAIL.size)
+    adam_t, epoch, best_epoch, since_best, best_metric, digest = \
+        STATE_TAIL.unpack(tail)
+    if min(adam_t, epoch, best_epoch + 1, since_best) < 0:
+        raise DataFormatError(f"{path}: negative training-state counters")
     return TrainState(params=ModelParams(weights),
-                      adam=AdamState(m=m, v=v, t=adam_t),
-                      epoch=epoch,
-                      best_params=ModelParams(best),
-                      best_metric=best_metric,
-                      best_epoch=best_epoch,
-                      epochs_since_best=since_best)
+                      adam=AdamState(m=m, v=v, t=adam_t), epoch=epoch,
+                      best_params=ModelParams(best), best_metric=best_metric,
+                      best_epoch=best_epoch, epochs_since_best=since_best,
+                      digest=digest)
 
 
-def _check_state_matches(state: TrainState, cfg: TrainConfig,
-                         input_dim: int) -> None:
+def run_digest(cfg: TrainConfig, g: DirectedProductGraph,
+               features: np.ndarray) -> bytes:
+    """SHA-256 of what a resumed run must share with the run that wrote
+    its state: every config field but max_epochs, the training graph and
+    the features."""
+    fields = [(f.name, getattr(cfg, f.name)) for f in dataclasses.fields(cfg)
+              if f.name != "max_epochs"]
+    h = hashlib.sha256(repr((fields, g.num_nodes)).encode())
+    for a in (np.ascontiguousarray(g.cp_edges, "<i8"),
+              np.ascontiguousarray(g.cv_pairs, "<i8"),
+              np.ascontiguousarray(features, "<f8")):
+        h.update(repr(a.shape).encode())
+        h.update(a)
+    return h.digest()
+
+
+def check_resumable(state: TrainState, cfg: TrainConfig,
+                    g: DirectedProductGraph, features: np.ndarray) -> None:
+    """Refuse a training state that a different run wrote."""
     p = state.params
-    if (p.num_layers, p.input_dim, p.embed_dim) != \
-            (cfg.num_layers, input_dim, cfg.embed_dim):
+    if state.digest != run_digest(cfg, g, features):
         raise DataFormatError(
-            "training state does not match config: state has "
-            f"(layers={p.num_layers}, input_dim={p.input_dim}, "
-            f"embed_dim={p.embed_dim}), config wants (layers={cfg.num_layers}, "
-            f"input_dim={input_dim}, embed_dim={cfg.embed_dim})")
+            f"training state (layers={p.num_layers}, input_dim={p.input_dim}, "
+            f"embed_dim={p.embed_dim}) comes from a different run: the config "
+            "(apart from max_epochs), the training graph or the features "
+            "differ")
 
 
 def _incident_cv_pairs(g: DirectedProductGraph, endpoints: np.ndarray,
@@ -300,9 +249,10 @@ def train(g: DirectedProductGraph, features: np.ndarray, cfg: TrainConfig,
         params = ModelParams.init(
             features.shape[1], cfg.embed_dim, cfg.num_layers,
             derive_rng(cfg.root_seed, STREAM_INIT))
-        state = TrainState(params=params, adam=AdamState.zeros(params))
+        state = TrainState(params=params, adam=AdamState.zeros(params),
+                           digest=run_digest(cfg, g, features))
     else:
-        _check_state_matches(state, cfg, features.shape[1])
+        check_resumable(state, cfg, g, features)
     params = state.params
 
     out = Path(out_dir) if out_dir is not None else None

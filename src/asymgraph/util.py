@@ -1,5 +1,5 @@
-"""Small shared helpers: seeded RNG derivation, file digests, float
-formatting, atomic file replacement."""
+"""Small shared helpers: seeded RNG derivation, file digests, atomic file
+replacement."""
 
 from __future__ import annotations
 
@@ -41,11 +41,6 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def fmt_float(x: float) -> str:
-    """Round-trippable, locale-independent float formatting for text dumps."""
-    return format(float(x), ".17g")
 
 
 @contextlib.contextmanager

@@ -5,10 +5,19 @@ is the package's earlier, slower code kept verbatim, deliberately sharing
 no code with the package's vectorized paths.
 """
 
+import dataclasses
 import math
+import struct
 from collections import defaultdict
 
 import numpy as np
+
+from asymgraph.errors import DataFormatError
+from asymgraph.graph import KeyMap
+from asymgraph.model import DualEmbeddings, ModelParams
+from asymgraph.synth import SynthConfig
+from asymgraph.trainer import AdamState, TrainConfig, TrainState
+from asymgraph.util import atomic_write
 
 
 def naive_dual_embeddings(num_nodes, cp_edges, cv_pairs, features, weights):
@@ -326,3 +335,264 @@ def loop_sample_non_edges(g, count, seed=0):
             continue
         out.append((u, v))
     return np.asarray(out, dtype=np.int64)
+
+
+# ----------------------------------------------------------------------
+# Hand-written loaders as they were before the shared codec in
+# `asymgraph.formats`, kept verbatim: the training state at version 1,
+# with its writer to make version-1 files.
+# ----------------------------------------------------------------------
+
+CHECKPOINT_MAGIC = b"ASYMGEMB"
+CHECKPOINT_VERSION = 1
+STATE_MAGIC = b"ASYMGTRN"
+STATE_VERSION = 1
+
+
+_TUPLE_FIELDS = {"fanouts", "term_weights"}
+
+
+def load_config(path) -> TrainConfig:
+    """Parse a `key = value` config file mirroring TrainConfig fields."""
+    fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
+    values = {}
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, raw = line.partition("=")
+            key, raw = key.strip(), raw.strip()
+            if not sep or key not in fields:
+                raise DataFormatError(
+                    f"{path}: bad config line {lineno}: {line!r}")
+            try:
+                if key in _TUPLE_FIELDS:
+                    values[key] = tuple(
+                        float(x) if key == "term_weights" else int(x)
+                        for x in raw.split(","))
+                elif key == "negative_form":
+                    values[key] = raw
+                elif key in ("batch_size", "max_epochs", "num_layers",
+                             "embed_dim", "num_negatives", "root_seed",
+                             "patience", "coview_per_batch"):
+                    values[key] = int(raw)
+                else:
+                    values[key] = float(raw)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: bad value for {key} on line {lineno}") from None
+    try:
+        return TrainConfig(**values)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def load_synth_config(path) -> SynthConfig:
+    values = {}
+    fields = {f.name: f for f in dataclasses.fields(SynthConfig)}
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, raw = line.partition("=")
+            key, raw = key.strip(), raw.strip()
+            if not sep or key not in fields:
+                raise DataFormatError(f"{path}: bad config line {lineno}: {line!r}")
+            try:
+                caster = int if fields[key].type == "int" else float
+                values[key] = caster(raw)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: bad value for {key} on line {lineno}") from None
+    try:
+        return SynthConfig(**values)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def load_feature_file(path):
+    """Read the feature file: header `<num_nodes>\\t<dim>`, then
+    `<key>\\t<f1>,<f2>,...` per product. Returns (features, key_map)."""
+    with open(path, "r", encoding="utf-8") as f:
+        header = f.readline().rstrip("\n")
+        parts = header.split("\t")
+        if len(parts) != 2:
+            raise DataFormatError(f"{path}: bad feature header {header!r}")
+        try:
+            n, dim = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: non-integer feature header {header!r}") from None
+        km = KeyMap()
+        rows = np.empty((n, dim), dtype=np.float64)
+        count = 0
+        for lineno, line in enumerate(f, start=2):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            if count >= n:
+                raise DataFormatError(
+                    f"{path}: more rows than header declares on line {lineno}")
+            key, _, blob = line.partition("\t")
+            try:
+                vec = np.array(blob.split(","), dtype=np.float64)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: bad floats on line {lineno}") from None
+            if len(vec) != dim:
+                raise DataFormatError(
+                    f"{path}: line {lineno} has {len(vec)} values, expected {dim}")
+            if key in km:
+                raise DataFormatError(
+                    f"{path}: duplicate key {key!r} on line {lineno}")
+            km.add(key)
+            rows[count] = vec
+            count += 1
+    if count != n:
+        raise DataFormatError(f"{path}: header declares {n} rows, found {count}")
+    if not np.isfinite(rows).all():
+        raise DataFormatError(f"{path}: non-finite feature values")
+    return rows, km
+
+
+def load_checkpoint(path) -> ModelParams:
+    with open(path, "rb") as f:
+        magic = f.read(len(CHECKPOINT_MAGIC))
+        if magic != CHECKPOINT_MAGIC:
+            raise DataFormatError(f"{path}: bad checkpoint magic {magic!r}")
+        header = f.read(16)
+        if len(header) != 16:
+            raise DataFormatError(f"{path}: truncated checkpoint header")
+        version, L, d_in, d_h = struct.unpack("<IIII", header)
+        if version != CHECKPOINT_VERSION:
+            raise DataFormatError(
+                f"{path}: unsupported checkpoint version {version}")
+        weights = []
+        for l in range(L):
+            rows = d_in if l == 0 else d_h
+            raw = f.read(rows * d_h * 8)
+            if len(raw) != rows * d_h * 8:
+                raise DataFormatError(f"{path}: truncated weight {l}")
+            weights.append(np.frombuffer(raw, dtype="<f8").reshape(rows, d_h).copy())
+        if f.read(1):
+            raise DataFormatError(f"{path}: trailing bytes after weights")
+    return ModelParams(weights)
+
+
+def load_embeddings(path) -> tuple[DualEmbeddings, KeyMap]:
+    """Read a `dump_embeddings` file. Malformed input (bad header, ragged
+    or non-numeric rows, non-finite values, duplicate keys, a row count
+    that disagrees with the header) raises DataFormatError naming the
+    line."""
+    with open(path, "r", encoding="utf-8") as f:
+        header = f.readline().rstrip("\n").split("\t")
+        try:
+            n, d = map(int, header)
+        except ValueError:
+            n = d = -1
+        if n < 0 or d < 0:
+            raise DataFormatError(f"{path}: bad embedding header on line 1")
+        km = KeyMap()
+        theta_s = np.empty((n, d))
+        theta_t = np.empty((n, d))
+        count = 0
+        for lineno, line in enumerate(f, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3 or not parts[1].startswith("S:") \
+                    or not parts[2].startswith("T:"):
+                raise DataFormatError(f"{path}: bad embedding line {lineno}")
+            if count >= n:
+                raise DataFormatError(
+                    f"{path}: line {lineno} is beyond the {n} rows the "
+                    f"header declares")
+            if parts[0] in km:
+                raise DataFormatError(
+                    f"{path}: duplicate key {parts[0]!r} on line {lineno}")
+            try:
+                s = np.array(parts[1][2:].split(","), dtype=np.float64)
+                t = np.array(parts[2][2:].split(","), dtype=np.float64)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: bad floats on line {lineno}") from None
+            if len(s) != d or len(t) != d:
+                raise DataFormatError(
+                    f"{path}: line {lineno} has {len(s)} S and {len(t)} T "
+                    f"values, expected {d}")
+            if not (np.isfinite(s).all() and np.isfinite(t).all()):
+                raise DataFormatError(
+                    f"{path}: non-finite value on line {lineno}")
+            km.add(parts[0])
+            theta_s[count] = s
+            theta_t[count] = t
+            count += 1
+        if count != n:
+            raise DataFormatError(
+                f"{path}: header declares {n} rows, found {count}")
+    emb = DualEmbeddings(nodes=np.arange(n), theta_s=theta_s, theta_t=theta_t)
+    return emb, km
+
+
+def _write_matrices(f, mats: list[np.ndarray]) -> None:
+    for w in mats:
+        f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+
+
+def _read_matrix(f, rows: int, cols: int, path) -> np.ndarray:
+    raw = f.read(rows * cols * 8)
+    if len(raw) != rows * cols * 8:
+        raise DataFormatError(f"{path}: truncated training state")
+    return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+
+
+def save_train_state(state: TrainState, path) -> None:
+    """Binary training state, written atomically."""
+    p = state.params
+    with atomic_write(path, "wb") as f:
+        f.write(STATE_MAGIC)
+        f.write(struct.pack("<IIII", STATE_VERSION, p.num_layers,
+                            p.input_dim, p.embed_dim))
+        _write_matrices(f, p.weights)
+        _write_matrices(f, state.adam.m)
+        _write_matrices(f, state.adam.v)
+        best = state.best_params if state.best_params is not None else p
+        _write_matrices(f, best.weights)
+        f.write(struct.pack("<qqqq", state.adam.t, state.epoch,
+                            state.best_epoch, state.epochs_since_best))
+        f.write(struct.pack("<d", state.best_metric))
+
+
+def resume(path) -> TrainState:
+    """Load a training state; continuing from it reproduces the exact
+    sequence an uninterrupted run would have produced."""
+    with open(path, "rb") as f:
+        magic = f.read(len(STATE_MAGIC))
+        if magic != STATE_MAGIC:
+            raise DataFormatError(f"{path}: bad training-state magic {magic!r}")
+        header = f.read(16)
+        if len(header) != 16:
+            raise DataFormatError(f"{path}: truncated training-state header")
+        version, L, d_in, d_h = struct.unpack("<IIII", header)
+        if version != STATE_VERSION:
+            raise DataFormatError(f"{path}: unsupported state version {version}")
+        shapes = [((d_in if l == 0 else d_h), d_h) for l in range(L)]
+        weights = [_read_matrix(f, r, c, path) for r, c in shapes]
+        m = [_read_matrix(f, r, c, path) for r, c in shapes]
+        v = [_read_matrix(f, r, c, path) for r, c in shapes]
+        best = [_read_matrix(f, r, c, path) for r, c in shapes]
+        tail = f.read(40)
+        if len(tail) != 40:
+            raise DataFormatError(f"{path}: truncated training-state footer")
+        adam_t, epoch, best_epoch, since_best = struct.unpack("<qqqq", tail[:32])
+        (best_metric,) = struct.unpack("<d", tail[32:])
+    return TrainState(params=ModelParams(weights),
+                      adam=AdamState(m=m, v=v, t=adam_t),
+                      epoch=epoch,
+                      best_params=ModelParams(best),
+                      best_metric=best_metric,
+                      best_epoch=best_epoch,
+                      epochs_since_best=since_best)

@@ -1,9 +1,13 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import reference as ref
+from asymgraph import cli, trainer
 
 PKG_ROOT = Path(__file__).parent.parent
 
@@ -226,3 +230,74 @@ def test_log_level_env_var(workspace, tmp_path):
                    env={"ASYMGRAPH_LOG": "error", "PATH": "/usr/bin:/bin"})
     assert proc.returncode == 0
     assert "INFO" not in proc.stderr
+
+
+# --- resume, in process -------------------------------------------------
+
+RESUME_CFG = ("batch_size = 256\nnum_layers = 2\nembed_dim = 8\n"
+              "fanouts = 10,10\nlr = 0.001\nnum_negatives = 2\n")
+
+
+def _train(edges, features, cfg, out, *extra):
+    return cli.main(["train", "--graph", str(edges), "--features",
+                     str(features), "--config", str(cfg), "--out", str(out),
+                     "--split", "edge", "--split-seed", "0", *extra])
+
+
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def one_epoch(workspace, tmp_path_factory):
+    """A one-epoch training directory to resume from."""
+    root, corpus = workspace
+    cfg = root / "resume.cfg"
+    cfg.write_text(RESUME_CFG)
+    out = tmp_path_factory.mktemp("one_epoch")
+    assert _train(corpus / "edges.tsv", corpus / "features.tsv", cfg, out,
+                  "--epochs", "1") == 0
+    return corpus, cfg, out
+
+
+@pytest.mark.parametrize("change", ["config", "graph", "features", "v1-state"])
+def test_resume_refuses_a_different_run(one_epoch, tmp_path, caplog, change):
+    corpus, cfg, out = one_epoch
+    edges, features = corpus / "edges.tsv", corpus / "features.tsv"
+    state = out / "train_state.ckpt"
+    if change == "config":
+        cfg = tmp_path / "changed.cfg"
+        cfg.write_text(RESUME_CFG.replace("lr = 0.001", "lr = 0.002"))
+    elif change == "graph":
+        lines = edges.read_text().splitlines()
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("\n".join(lines[1:]) + "\n")
+    elif change == "features":
+        lines = features.read_text().splitlines()
+        key, values = lines[1].split("\t")
+        first, rest = values.split(",", 1)
+        lines[1] = f"{key}\t{float(first) + 0.5!r},{rest}"
+        features = tmp_path / "features.tsv"
+        features.write_text("\n".join(lines) + "\n")
+    else:
+        state = tmp_path / "v1.ckpt"
+        ref.save_train_state(trainer.resume(out / "train_state.ckpt"), state)
+    before = _snapshot(out)
+    code = _train(edges, features, cfg, out, "--epochs", "2",
+                  "--resume", str(state))
+    assert code == 2
+    assert _snapshot(out) == before
+    assert ("version 1" if change == "v1-state" else "different run") \
+        in caplog.text
+
+
+def test_resume_with_more_epochs_matches_straight_run(one_epoch, tmp_path):
+    corpus, cfg, out = one_epoch
+    edges, features = corpus / "edges.tsv", corpus / "features.tsv"
+    resumed, straight = tmp_path / "resumed", tmp_path / "straight"
+    shutil.copytree(out, resumed)
+    assert _train(edges, features, cfg, resumed, "--epochs", "2",
+                  "--resume", str(resumed / "train_state.ckpt")) == 0
+    assert _train(edges, features, cfg, straight, "--epochs", "2") == 0
+    for name in ("model.ckpt", "train_state.ckpt"):
+        assert (resumed / name).read_bytes() == (straight / name).read_bytes()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from asymgraph.errors import DataFormatError
+from asymgraph.formats import load_config
 from asymgraph.graph import build_graph, graph_stats, load_edge_file
-from asymgraph.synth import (SynthConfig, generate, load_synth_config,
-                             write_corpus)
+from asymgraph.synth import SynthConfig, generate, write_corpus
 
 
 def test_reciprocal_zero_means_all_one_way():
@@ -105,11 +105,11 @@ def test_config_file_parsing(tmp_path):
     path = tmp_path / "synth.cfg"
     path.write_text("num_categories = 5\nproducts_per_category = 44\n"
                     "# comment\ncp_edge_prob = 0.5\nseed = 7\n")
-    cfg = load_synth_config(path)
+    cfg = load_config(path, SynthConfig)
     assert cfg.num_categories == 5
     assert cfg.products_per_category == 44
     assert cfg.cp_edge_prob == 0.5
     assert cfg.seed == 7
     path.write_text("volume = 11\n")
     with pytest.raises(DataFormatError):
-        load_synth_config(path)
+        load_config(path, SynthConfig)

@@ -6,11 +6,11 @@ import pytest
 
 from asymgraph.errors import DataFormatError, NumericalError
 from asymgraph.graph import build_graph
-from asymgraph import model
+from asymgraph import trainer
+from asymgraph.formats import load_config, save_config
 from asymgraph.model import ModelParams, embed_all
 from asymgraph.trainer import (AdamState, TrainConfig, _incident_cv_pairs,
-                               adam_step, load_config, resume, save_config,
-                               save_train_state, train)
+                               adam_step, resume, save_train_state, train)
 from asymgraph.util import STREAM_INIT, derive_rng
 
 TOY_CFG = dict(batch_size=16, num_layers=1, embed_dim=4, fanouts=(4,),
@@ -171,7 +171,7 @@ def test_config_roundtrip(tmp_path):
                       root_seed=11, patience=2)
     path = tmp_path / "config.txt"
     save_config(cfg, path)
-    loaded = load_config(path)
+    loaded = load_config(path, TrainConfig)
     assert loaded == cfg
 
 
@@ -179,13 +179,13 @@ def test_config_rejects_bad_lines(tmp_path):
     path = tmp_path / "config.txt"
     path.write_text("lr = fast\n")
     with pytest.raises(DataFormatError):
-        load_config(path)
+        load_config(path, TrainConfig)
     path.write_text("warp_speed = 9\n")
     with pytest.raises(DataFormatError):
-        load_config(path)
+        load_config(path, TrainConfig)
     path.write_text("num_layers = 2\nfanouts = 5\n")
     with pytest.raises(DataFormatError):
-        load_config(path)
+        load_config(path, TrainConfig)
 
 
 def test_config_validation():
@@ -236,13 +236,13 @@ def test_one_step_runs_one_forward(small, monkeypatch):
     """backward reuses the forward tape instead of recomputing it."""
     g, X, cfg = small
     calls = []
-    real = model._forward_cached
+    real = trainer.forward
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(model, "_forward_cached", counting)
+    monkeypatch.setattr(trainer, "forward", counting)
     one_batch = dataclasses.replace(cfg, max_epochs=1,
                                     batch_size=len(g.cp_edges))
     train(g, X, one_batch)
