@@ -11,8 +11,10 @@
 
 Text readers skip blank and `#` lines. Readers raise DataFormatError,
 naming the line where there is one, for input they cannot represent:
-unknown or duplicate keys, non-finite or ragged values, non-UTF-8 text, a
-size that disagrees with its header.
+unknown, empty or duplicate keys, non-finite or ragged values, non-UTF-8
+text, a size that disagrees with its header. Text writers refuse, before
+they replace anything, a key their readers could not read back: empty,
+starting with `#`, or holding a tab or a line break.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def read_rows(path, prefixes=("",)) -> tuple[list[str], list[np.ndarray]]:
                 f"{path}: more rows than the {n} the header declares "
                 f"on line {lineno}")
         key, *blobs = line.split("\t")
-        if len(blobs) != len(prefixes) or not all(
+        if not key or len(blobs) != len(prefixes) or not all(
                 b.startswith(p) for b, p in zip(blobs, prefixes)):
             raise DataFormatError(f"{path}: bad row on line {lineno}")
         if key in keys:
@@ -127,9 +129,20 @@ def read_rows(path, prefixes=("",)) -> tuple[list[str], list[np.ndarray]]:
                         for j in range(len(prefixes))]
 
 
+def _check_keys(path, keys) -> None:
+    """Refuse a key a text file cannot hold as a field: empty, starting
+    with `#` (a comment line), or holding a tab or a line break."""
+    for key in keys:
+        if not key or key[0] == "#" or any(c in key for c in "\t\r\n"):
+            raise DataFormatError(
+                f"{path}: key {key!r} cannot be written: a key must be "
+                "non-empty, not start with '#' and hold no tab or line break")
+
+
 def write_rows(path, keys, mats, prefixes=("",)) -> None:
     """Write what `read_rows` reads: row i is keys[i], then row i of each
     matrix behind its prefix, in round-trippable `.17g` floats."""
+    _check_keys(path, keys)
     with atomic_write(path) as f:
         f.write("%d\t%d\n" % mats[0].shape)
         for i, key in enumerate(keys):
@@ -140,7 +153,8 @@ def write_rows(path, keys, mats, prefixes=("",)) -> None:
 
 def write_pairs(path, key_map, groups) -> None:
     """Write one `<key>\\t<key>\\t<label>` line per pair, for each
-    (pairs, label) group in order."""
+    (pairs, label) group in order; every key of `key_map` is checked."""
+    _check_keys(path, key_map.keys())
     with atomic_write(path) as f:
         for pairs, label in groups:
             for u, v in pairs:

@@ -314,8 +314,10 @@ def graph_stats(g: DirectedProductGraph) -> GraphStats:
 def load_edge_file(path, key_map: KeyMap | None = None):
     """Read a tab-separated edge file: `<src>\\t<dst>\\t<cp|cv>` per line.
 
-    Lines starting with `#` are ignored. When a key map is supplied,
-    unknown keys are an ingestion error reporting every offending line.
+    Lines starting with `#` are ignored; an empty key, or a destination
+    key starting with `#` (a comment line once a dump reorders a co-view
+    pair), is malformed. With a key map, unknown keys are an error too.
+    Both errors report every offending line.
     Returns (cp_pairs, cv_pairs, key_map) with dense-id pairs.
     """
     grow = key_map is None
@@ -331,6 +333,9 @@ def load_edge_file(path, key_map: KeyMap | None = None):
             bad_lines.append(lineno)
             continue
         src, dst, kind = parts
+        if not src or not dst or dst.startswith("#"):  # unwritable keys
+            bad_lines.append(lineno)
+            continue
         if grow:
             u, v = km.add(src), km.add(dst)
         else:

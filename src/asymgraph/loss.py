@@ -15,13 +15,19 @@ with the conventional log sigmoid(-dot) form available as
 "negated_dot". The returned
 total is the negated sum, so it is always >= 0. One-way edges contribute
 to both terms 1 and 3, matching the printed sums.
+
+Training runs one pass per batch, `loss_grad`: `asymmetric_loss`
+gathers each row and computes each term's dots once, and keeps each
+term's gradient contributions beside the value; then one sparse scatter
+per channel sums them into the source and target gradients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 NEGATIVE_FORMS = ("one_minus_dot", "negated_dot")
 NUM_TERMS = 6
@@ -59,10 +65,13 @@ class LossBatch:
 
 @dataclass
 class LossValue:
-    """Negated total plus the six raw log-likelihood sums (each <= 0)."""
+    """Negated total plus the six raw log-likelihood sums (each <= 0).
+    `parts` holds what `loss_grad` scatters: per channel (source, target),
+    the (rows, coeff, vecs) gradient contributions in term order."""
 
     total: float
     terms: np.ndarray
+    parts: tuple = field(default=((), ()), repr=False, compare=False)
 
     @property
     def per_term_loss(self) -> np.ndarray:
@@ -83,141 +92,110 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.exp(log_sigmoid(x))
 
 
-def _repel_arg(dots: np.ndarray, negative_form: str) -> np.ndarray:
+def _attract(dots: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
+    """Summed log sigmoid(dot), and `weight` times d/ddot of its negation
+    per dot: sigmoid(dot) - 1, sigmoid taken as exp of the log sigmoid."""
+    ls = log_sigmoid(dots)
+    return ls.sum(), weight * (np.exp(ls) - 1.0)
+
+
+def _repel(dots: np.ndarray, weight: float,
+           negative_form: str) -> tuple[float, np.ndarray]:
+    """Summed log sigmoid of the repel argument, and `weight` times
+    d/ddot of its negation per dot: 1 - sigmoid(1 - dot) for the literal
+    form, sigmoid(dot) for the conventional one."""
     if negative_form == "one_minus_dot":
-        return 1.0 - dots
-    return -dots
+        ls = log_sigmoid(1.0 - dots)
+        return ls.sum(), weight * (1.0 - np.exp(ls))
+    return log_sigmoid(-dots).sum(), weight * sigmoid(dots)
 
 
-def _gather(emb, channel: str, nodes: np.ndarray) -> np.ndarray:
-    mat = emb.theta_s if channel == "s" else emb.theta_t
-    return mat[emb.rows_of(nodes)]
-
-
-def _term_dots(emb, batch: LossBatch):
-    """Dot products feeding each term, in term order."""
-    e = batch.cp_edges
-    ow = batch.one_way
-    cv = batch.cv_pairs
-    s_u = _gather(emb, "s", e[:, 0]) if len(e) else np.empty((0, 1))
-    t_v = _gather(emb, "t", e[:, 1]) if len(e) else np.empty((0, 1))
-    d1 = np.sum(s_u * t_v, axis=1)
-    if batch.negatives.size:
-        z = batch.negatives
-        t_z = _gather(emb, "t", z.ravel()).reshape(z.shape[0], z.shape[1], -1)
-        d2 = np.sum(s_u[:, None, :] * t_z, axis=2).ravel()
-    else:
-        d2 = np.empty(0)
-    d3 = d1[ow]
-    if ow.any():
-        s_v = _gather(emb, "s", e[ow, 1])
-        t_u = _gather(emb, "t", e[ow, 0])
-        d4 = np.sum(s_v * t_u, axis=1)
-    else:
-        d4 = np.empty(0)
-    if len(cv):
-        s_a, s_b = _gather(emb, "s", cv[:, 0]), _gather(emb, "s", cv[:, 1])
-        t_a, t_b = _gather(emb, "t", cv[:, 0]), _gather(emb, "t", cv[:, 1])
-        d5 = np.sum(s_a * s_b, axis=1)
-        d6 = np.sum(t_a * t_b, axis=1)
-    else:
-        d5 = np.empty(0)
-        d6 = np.empty(0)
-    return d1, d2, d3, d4, d5, d6
+def _scatter(like: np.ndarray, parts: list) -> np.ndarray:
+    """Sum coeff * vec rows into the rows they name, for (rows, coeff,
+    vecs) parts in order. One CSR product of a ones matrix with the
+    stacked rows; each output row sums its entries in order of appearance
+    from zero, so the result is bit-identical to adding the rows one at a
+    time."""
+    if not parts:
+        return np.zeros_like(like)
+    rows = np.concatenate([r for r, _, _ in parts])
+    vals = np.empty((len(rows), like.shape[1]))
+    at = 0
+    for _, coeff, vecs in parts:
+        np.multiply(coeff[:, None], vecs, out=vals[at:at + len(vecs)])
+        at += len(vecs)
+    # COO to CSR is a stable bucket sort by row: each row keeps its order
+    ones = sp.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))),
+                         shape=(len(like), len(rows)))
+    return ones @ vals
 
 
 def asymmetric_loss(emb, batch: LossBatch, weights=None,
                     negative_form: str = "one_minus_dot") -> LossValue:
-    """Evaluate the loss; `weights` optionally scales the six terms."""
+    """Evaluate the loss; `weights` optionally scales the six terms.
+
+    Each row is gathered and each dot computed once. With the value come
+    its gradient contributions (`LossValue.parts`): attract terms give
+    (sigmoid(dot) - 1) times the opposite row; repel terms give the
+    derivative of -log sigmoid(1 - dot), which is 1 - sigmoid(1 - dot),
+    times the opposite row (or the mirrored sign for the conventional
+    -dot form).
+    """
     if negative_form not in NEGATIVE_FORMS:
         raise ValueError(f"negative_form must be one of {NEGATIVE_FORMS}")
     w = np.ones(NUM_TERMS) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != (NUM_TERMS,):
         raise ValueError(f"expected {NUM_TERMS} term weights")
-    d1, d2, d3, d4, d5, d6 = _term_dots(emb, batch)
-    terms = np.array([
-        log_sigmoid(d1).sum(),
-        log_sigmoid(_repel_arg(d2, negative_form)).sum(),
-        log_sigmoid(d3).sum(),
-        log_sigmoid(_repel_arg(d4, negative_form)).sum(),
-        log_sigmoid(d5).sum(),
-        log_sigmoid(d6).sum(),
-    ])
-    return LossValue(total=float(-(w * terms).sum()), terms=terms)
-
-
-def loss_grad(emb, batch: LossBatch, weights=None,
-              negative_form: str = "one_minus_dot"):
-    """Gradients of the negated total w.r.t. the embedding rows.
-
-    Attract terms contribute (sigmoid(dot) - 1) times the opposite row;
-    repel terms contribute the derivative of -log sigmoid(1 - dot),
-    which is 1 - sigmoid(1 - dot), times the opposite row (or the
-    mirrored sign for the conventional -dot form). Returns (grad_s,
-    grad_t) aligned with the embedding rows.
-    """
-    if negative_form not in NEGATIVE_FORMS:
-        raise ValueError(f"negative_form must be one of {NEGATIVE_FORMS}")
-    w = np.ones(NUM_TERMS) if weights is None else np.asarray(weights, dtype=np.float64)
-    gs = np.zeros_like(emb.theta_s)
-    gt = np.zeros_like(emb.theta_t)
-    e = batch.cp_edges
-    ow = batch.one_way
-    cv = batch.cv_pairs
-
-    def attract_coeff(dots):
-        # d/ddot of -log sigmoid(dot)
-        return sigmoid(dots) - 1.0
-
-    def repel_coeff(dots):
-        # d/ddot of -log sigmoid(repel_arg(dot))
-        if negative_form == "one_minus_dot":
-            return 1.0 - sigmoid(1.0 - dots)
-        return sigmoid(dots)
-
-    def accumulate(grad, rows, coeff, vecs):
-        np.add.at(grad, rows, coeff[:, None] * vecs)
-
+    terms = np.zeros(NUM_TERMS)
+    s_parts, t_parts = [], []  # (rows, coeff, vecs), in term order
+    e, ow, cv = batch.cp_edges, batch.one_way, batch.cv_pairs
     if len(e):
         u_rows = emb.rows_of(e[:, 0])
         v_rows = emb.rows_of(e[:, 1])
         s_u = emb.theta_s[u_rows]
         t_v = emb.theta_t[v_rows]
         d1 = np.sum(s_u * t_v, axis=1)
-        c1 = w[0] * attract_coeff(d1)
-        accumulate(gs, u_rows, c1, t_v)
-        accumulate(gt, v_rows, c1, s_u)
+        terms[0], c1 = _attract(d1, w[0])
+        s_parts.append((u_rows, c1, t_v))
+        t_parts.append((v_rows, c1, s_u))
         if batch.negatives.size:
             z = batch.negatives
             z_rows = emb.rows_of(z.ravel())
             t_z = emb.theta_t[z_rows]
             s_u_rep = np.repeat(s_u, z.shape[1], axis=0)
-            u_rows_rep = np.repeat(u_rows, z.shape[1])
-            d2 = np.sum(s_u_rep * t_z, axis=1)
-            c2 = w[1] * repel_coeff(d2)
-            accumulate(gs, u_rows_rep, c2, t_z)
-            accumulate(gt, z_rows, c2, s_u_rep)
+            terms[1], c2 = _repel(np.sum(s_u_rep * t_z, axis=1), w[1],
+                                  negative_form)
+            s_parts.append((np.repeat(u_rows, z.shape[1]), c2, t_z))
+            t_parts.append((z_rows, c2, s_u_rep))
         if ow.any():
             uo_rows, vo_rows = u_rows[ow], v_rows[ow]
-            d3 = d1[ow]
-            c3 = w[2] * attract_coeff(d3)
-            accumulate(gs, uo_rows, c3, emb.theta_t[vo_rows])
-            accumulate(gt, vo_rows, c3, emb.theta_s[uo_rows])
+            terms[2], c3 = _attract(d1[ow], w[2])
+            s_parts.append((uo_rows, c3, t_v[ow]))
+            t_parts.append((vo_rows, c3, s_u[ow]))
             s_v = emb.theta_s[vo_rows]
             t_u = emb.theta_t[uo_rows]
-            d4 = np.sum(s_v * t_u, axis=1)
-            c4 = w[3] * repel_coeff(d4)
-            accumulate(gs, vo_rows, c4, t_u)
-            accumulate(gt, uo_rows, c4, s_v)
+            terms[3], c4 = _repel(np.sum(s_v * t_u, axis=1), w[3],
+                                  negative_form)
+            s_parts.append((vo_rows, c4, t_u))
+            t_parts.append((uo_rows, c4, s_v))
     if len(cv):
         a_rows = emb.rows_of(cv[:, 0])
         b_rows = emb.rows_of(cv[:, 1])
         s_a, s_b = emb.theta_s[a_rows], emb.theta_s[b_rows]
         t_a, t_b = emb.theta_t[a_rows], emb.theta_t[b_rows]
-        c5 = w[4] * attract_coeff(np.sum(s_a * s_b, axis=1))
-        accumulate(gs, a_rows, c5, s_b)
-        accumulate(gs, b_rows, c5, s_a)
-        c6 = w[5] * attract_coeff(np.sum(t_a * t_b, axis=1))
-        accumulate(gt, a_rows, c6, t_b)
-        accumulate(gt, b_rows, c6, t_a)
-    return gs, gt
+        terms[4], c5 = _attract(np.sum(s_a * s_b, axis=1), w[4])
+        s_parts += [(a_rows, c5, s_b), (b_rows, c5, s_a)]
+        terms[5], c6 = _attract(np.sum(t_a * t_b, axis=1), w[5])
+        t_parts += [(a_rows, c6, t_b), (b_rows, c6, t_a)]
+    return LossValue(total=float(-(w * terms).sum()), terms=terms,
+                     parts=(s_parts, t_parts))
+
+
+def loss_grad(emb, batch: LossBatch, weights=None,
+              negative_form: str = "one_minus_dot"):
+    """The loss and its gradients w.r.t. the embedding rows, in one pass:
+    `asymmetric_loss`, then one scatter per channel. Returns (LossValue,
+    grad_s, grad_t), the gradients aligned with the embedding rows."""
+    value = asymmetric_loss(emb, batch, weights, negative_form)
+    (s_parts, t_parts), value.parts = value.parts, ((), ())  # free them
+    return value, _scatter(emb.theta_s, s_parts), _scatter(emb.theta_t, t_parts)

@@ -9,10 +9,15 @@ channels and both relation terms. Rows are L2-normalized after every
 layer; all-zero rows (empty neighborhoods) are left untouched so isolated
 nodes embed to zero instead of NaN.
 
+Each layer transforms, then aggregates: relu(A @ (H @ W)), the usual GCN
+order, so each input frontier is multiplied by W once and feeds both steps
+that read it (its own channel's co-view, the other's co-purchase term).
+
 Training runs `forward` over sampled computation blocks and keeps a tape
 for `backward`. Whole-catalogue inference (`embed_all`) is layer-wise
 instead: each layer is computed once for every node straight from the
 graph's CSR adjacencies, with no tape, through the same per-layer step.
+Cold start runs `forward` over full blocks, so all three share one order.
 """
 
 from __future__ import annotations
@@ -105,30 +110,29 @@ def _selection(ptr: np.ndarray, rows: np.ndarray, n_cols: int) -> sp.csr_matrix:
 class Tape:
     """What one forward pass keeps for its backward pass.
 
-    steps[(channel, layer)] holds the selection matrices, the summed
-    neighbor inputs, the ReLU masks, the pre-normalization row norms and
-    the normalized output of that channel's layer. A tape is only valid
-    for the weights it was recorded with.
+    H[l][channel] is level l's frontier: H[0] the gathered features, H[l]
+    layer l's normalized output and layer l+1's input. steps[(channel,
+    layer)] holds the selection matrices, ReLU masks and pre-normalization
+    row norms; the products H @ W and the pre-activations are not kept.
+    A tape is only valid for the weights it was recorded with.
     """
 
     num_layers: int
+    H: list
     steps: dict
 
 
-def _layer(sel_cp, feed_cp, sel_cv, feed_cv, w: np.ndarray, l: int,
-           ch: str) -> tuple:
-    """One (layer, channel) step: relu(sel_cp @ feed_cp @ w) +
-    relu(sel_cv @ feed_cv @ w), rows normalized. Returns the summed
-    neighbor inputs, the ReLU masks, the pre-normalization row norms and
-    the normalized output, in that order."""
-    sum_cp = sel_cp @ feed_cp
-    sum_cv = sel_cv @ feed_cv
+def _layer(sel_cp, p_cp, sel_cv, p_cv, l: int, ch: str) -> tuple:
+    """One (layer, channel) step over feeds already multiplied by the
+    layer's weights: relu(sel_cp @ p_cp) + relu(sel_cv @ p_cv), rows
+    normalized. Returns the ReLU masks, the pre-normalization row norms
+    and the normalized output, in that order."""
     # ReLUs and the sum run in place, so at most one pre-activation
     # matrix is alive; the arithmetic is the same as out of place
-    h = sum_cp @ w
+    h = sel_cp @ p_cp
     on_cp = h > 0.0
     np.maximum(h, 0.0, out=h)
-    pre_cv = sum_cv @ w
+    pre_cv = sel_cv @ p_cv
     on_cv = pre_cv > 0.0
     h += np.maximum(pre_cv, 0.0, out=pre_cv)
     if not np.isfinite(h).all():
@@ -139,7 +143,7 @@ def _layer(sel_cp, feed_cp, sel_cv, feed_cv, w: np.ndarray, l: int,
         raise NumericalError(
             f"non-finite row norms in layer {l} ({ch} channel)")
     h /= np.where(norms > 0.0, norms, 1.0)[:, None]
-    return sum_cp, sum_cv, on_cp, on_cv, norms, h
+    return on_cp, on_cv, norms, h
 
 
 def forward(blocks: ComputationBlocks, features: np.ndarray,
@@ -152,26 +156,25 @@ def forward(blocks: ComputationBlocks, features: np.ndarray,
     if features.shape[1] != params.input_dim:
         raise ValueError(
             f"feature dim {features.shape[1]} != model input dim {params.input_dim}")
-    H = {}
-    for ch in (SOURCE, TARGET):
-        H[(ch, 0)] = features[blocks.levels[0][ch].nodes]
+    H = [{ch: features[blocks.levels[0][ch].nodes] for ch in (SOURCE, TARGET)}]
     steps = {}
     for l in range(1, blocks.num_layers + 1):
         w = params.weights[l - 1]
+        # each frontier is transformed once, for the two steps it feeds
+        P = {ch: H[l - 1][ch] @ w for ch in (SOURCE, TARGET)}
+        out = {}
         for ch in (SOURCE, TARGET):
             blk = blocks.levels[l][ch]
-            other = TARGET if ch == SOURCE else SOURCE
-            feed_cp = H[(other, l - 1)]
-            feed_cv = H[(ch, l - 1)]
-            sel_cp = _selection(blk.cp_ptr, blk.cp_rows, feed_cp.shape[0])
-            sel_cv = _selection(blk.cv_ptr, blk.cv_rows, feed_cv.shape[0])
-            step = _layer(sel_cp, feed_cp, sel_cv, feed_cv, w, l, ch)
-            H[(ch, l)] = step[-1]
-            steps[(ch, l)] = (sel_cp, sel_cv) + step
+            p_cp, p_cv = P[TARGET if ch == SOURCE else SOURCE], P[ch]
+            sel_cp = _selection(blk.cp_ptr, blk.cp_rows, p_cp.shape[0])
+            sel_cv = _selection(blk.cv_ptr, blk.cv_rows, p_cv.shape[0])
+            *step, out[ch] = _layer(sel_cp, p_cp, sel_cv, p_cv, l, ch)
+            steps[(ch, l)] = (sel_cp, sel_cv, *step)
+        H.append(out)
     L = blocks.num_layers
     emb = DualEmbeddings(nodes=blocks.seeds,
-                         theta_s=H[(SOURCE, L)], theta_t=H[(TARGET, L)])
-    return emb, Tape(num_layers=L, steps=steps)
+                         theta_s=H[L][SOURCE], theta_t=H[L][TARGET])
+    return emb, Tape(num_layers=L, H=H, steps=steps)
 
 
 def backward(tape: Tape, params: ModelParams, loss_grad_s: np.ndarray,
@@ -182,41 +185,41 @@ def backward(tape: Tape, params: ModelParams, loss_grad_s: np.ndarray,
     loss_grad_t are the loss gradients w.r.t. its seed output rows.
     Normalization backpropagates through the standard projected Jacobian,
     with zero-norm rows contributing nothing; the ReLU subgradient at 0
-    is 0. Shared weights accumulate across channels and relation terms.
+    is 0. Each transformed feed P = H @ W sums the gradients of its two
+    consumers; then W gets H.T @ gP and the layer below gP @ W.T.
     """
     if params.num_layers != tape.num_layers:
         raise ValueError(
             f"tape has {tape.num_layers} layers, params {params.num_layers}")
     L = tape.num_layers
-    grads = [np.zeros_like(w) for w in params.weights]
-    gH = {(SOURCE, L): np.array(loss_grad_s, dtype=np.float64),
-          (TARGET, L): np.array(loss_grad_t, dtype=np.float64)}
+    grads = [None] * L
+    gH = {SOURCE: np.array(loss_grad_s, dtype=np.float64),
+          TARGET: np.array(loss_grad_t, dtype=np.float64)}
     for l in range(L, 0, -1):
-        w = params.weights[l - 1]
+        gP = {}
         for ch in (SOURCE, TARGET):
-            g_out = gH.pop((ch, l), None)
-            if g_out is None:
-                continue
-            sel_cp, sel_cv, sum_cp, sum_cv, on_cp, on_cv, norms, y = \
-                tape.steps[(ch, l)]
+            sel_cp, sel_cv, on_cp, on_cv, norms = tape.steps[(ch, l)]
+            y = tape.H[l][ch]
+            g = gH.pop(ch)  # owned here, so it becomes g_pre in place
             nz = norms > 0.0
-            dot = np.sum(y * g_out, axis=1, keepdims=True)
-            g_pre = g_out - y * dot
-            g_pre /= np.where(nz, norms, 1.0)[:, None]
-            g_pre[~nz] = 0.0
-            g_cp = g_pre * on_cp
-            g_cv = g_pre * on_cv
-            grads[l - 1] += sum_cp.T @ g_cp + sum_cv.T @ g_cv
-            if l == 1:
-                continue  # input features are constants
-            other = TARGET if ch == SOURCE else SOURCE
-            for key, sel, g_sum in (((other, l - 1), sel_cp, g_cp @ w.T),
-                                    ((ch, l - 1), sel_cv, g_cv @ w.T)):
-                contrib = sel.T @ g_sum
-                if key in gH:
-                    gH[key] = gH[key] + contrib
+            g -= y * np.einsum("ij,ij->i", y, g)[:, None]
+            g /= np.where(nz, norms, 1.0)[:, None]
+            if not nz.all():
+                g[~nz] = 0.0
+            parts = [(TARGET if ch == SOURCE else SOURCE,
+                      sel_cp.T @ (g * on_cp))]
+            g *= on_cv
+            parts.append((ch, sel_cv.T @ g))
+            for key, contrib in parts:
+                if key in gP:
+                    gP[key] += contrib
                 else:
-                    gH[key] = contrib
+                    gP[key] = contrib
+        H = tape.H[l - 1]
+        grads[l - 1] = H[SOURCE].T @ gP[SOURCE] + H[TARGET].T @ gP[TARGET]
+        if l > 1:  # input features are constants
+            w = params.weights[l - 1]
+            gH = {ch: gP[ch] @ w.T for ch in (SOURCE, TARGET)}
     for l, g in enumerate(grads):
         if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for weight {l}")
@@ -244,10 +247,12 @@ def embed_all(g: DirectedProductGraph, features: np.ndarray,
     cv = _selection(g.cv_out.indptr, g.cv_out.indices, n)
     S = T = features
     for l, w in enumerate(params.weights, start=1):
+        P_s = S @ w
+        P_t = P_s if T is S else T @ w
         # source pulls cp out-neighbors' targets, target pulls cp
         # in-neighbors' sources; co-view keeps the channel
-        S, T = (_layer(cp_out, T, cv, S, w, l, SOURCE)[-1],
-                _layer(cp_in, S, cv, T, w, l, TARGET)[-1])
+        S, T = (_layer(cp_out, P_t, cv, P_s, l, SOURCE)[-1],
+                _layer(cp_in, P_s, cv, P_t, l, TARGET)[-1])
     return DualEmbeddings(nodes=np.arange(n), theta_s=S, theta_t=T)
 
 

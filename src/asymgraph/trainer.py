@@ -20,8 +20,7 @@ from . import retrieval
 from .errors import DataFormatError, NumericalError
 from .formats import read_binary, write_binary
 from .graph import DirectedProductGraph, one_way_mask
-from .loss import (NEGATIVE_FORMS, NUM_TERMS, LossBatch, asymmetric_loss,
-                   loss_grad)
+from .loss import NEGATIVE_FORMS, NUM_TERMS, LossBatch, loss_grad
 from .model import (ModelParams, backward, embed_all, forward,
                     save_checkpoint)
 from .sampler import sample_blocks, sample_negatives
@@ -282,13 +281,11 @@ def train(g: DirectedProductGraph, features: np.ndarray, cfg: TrainConfig,
                 rng_seed=derive_seed(cfg.root_seed, STREAM_BLOCKS, epoch, b))
             emb, tape = forward(blocks, features, params)
             batch = LossBatch(batch_edges, batch_flags, cv_sel, negatives)
-            value = asymmetric_loss(emb, batch, weights=cfg.term_weights,
-                                    negative_form=cfg.negative_form)
+            value, gs, gt = loss_grad(emb, batch, weights=cfg.term_weights,
+                                      negative_form=cfg.negative_form)
             if not np.isfinite(value.total):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch} batch {b}")
-            gs, gt = loss_grad(emb, batch, weights=cfg.term_weights,
-                               negative_form=cfg.negative_form)
             grads = backward(tape, params, gs, gt)
             adam_step(params, grads, state.adam,
                       cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)

@@ -12,9 +12,14 @@ from collections import defaultdict
 
 import numpy as np
 
-from asymgraph.errors import DataFormatError
-from asymgraph.graph import KeyMap
+import scipy.sparse as sp
+
+from asymgraph.errors import DataFormatError, NumericalError
+from asymgraph.graph import DirectedProductGraph, KeyMap
+from asymgraph.loss import (NEGATIVE_FORMS, NUM_TERMS, LossBatch, LossValue,
+                            log_sigmoid, sigmoid)
 from asymgraph.model import DualEmbeddings, ModelParams
+from asymgraph.sampler import SOURCE, TARGET, ComputationBlocks
 from asymgraph.synth import SynthConfig
 from asymgraph.trainer import AdamState, TrainConfig, TrainState
 from asymgraph.util import atomic_write
@@ -596,3 +601,311 @@ def resume(path) -> TrainState:
                       best_metric=best_metric,
                       best_epoch=best_epoch,
                       epochs_since_best=since_best)
+
+
+# ----------------------------------------------------------------------
+# The two-pass loss with one np.add.at per contribution: the bitwise
+# oracle for the one-pass `loss_grad` and its single sparse scatter.
+# ----------------------------------------------------------------------
+
+def _addat_repel_arg(dots: np.ndarray, negative_form: str) -> np.ndarray:
+    if negative_form == "one_minus_dot":
+        return 1.0 - dots
+    return -dots
+
+
+def _addat_gather(emb, channel: str, nodes: np.ndarray) -> np.ndarray:
+    mat = emb.theta_s if channel == "s" else emb.theta_t
+    return mat[emb.rows_of(nodes)]
+
+
+def _addat_term_dots(emb, batch: LossBatch):
+    """Dot products feeding each term, in term order."""
+    e = batch.cp_edges
+    ow = batch.one_way
+    cv = batch.cv_pairs
+    s_u = _addat_gather(emb, "s", e[:, 0]) if len(e) else np.empty((0, 1))
+    t_v = _addat_gather(emb, "t", e[:, 1]) if len(e) else np.empty((0, 1))
+    d1 = np.sum(s_u * t_v, axis=1)
+    if batch.negatives.size:
+        z = batch.negatives
+        t_z = _addat_gather(emb, "t", z.ravel()).reshape(z.shape[0], z.shape[1], -1)
+        d2 = np.sum(s_u[:, None, :] * t_z, axis=2).ravel()
+    else:
+        d2 = np.empty(0)
+    d3 = d1[ow]
+    if ow.any():
+        s_v = _addat_gather(emb, "s", e[ow, 1])
+        t_u = _addat_gather(emb, "t", e[ow, 0])
+        d4 = np.sum(s_v * t_u, axis=1)
+    else:
+        d4 = np.empty(0)
+    if len(cv):
+        s_a, s_b = _addat_gather(emb, "s", cv[:, 0]), _addat_gather(emb, "s", cv[:, 1])
+        t_a, t_b = _addat_gather(emb, "t", cv[:, 0]), _addat_gather(emb, "t", cv[:, 1])
+        d5 = np.sum(s_a * s_b, axis=1)
+        d6 = np.sum(t_a * t_b, axis=1)
+    else:
+        d5 = np.empty(0)
+        d6 = np.empty(0)
+    return d1, d2, d3, d4, d5, d6
+
+
+def addat_asymmetric_loss(emb, batch: LossBatch, weights=None,
+                          negative_form: str = "one_minus_dot") -> LossValue:
+    """Evaluate the loss; `weights` optionally scales the six terms."""
+    if negative_form not in NEGATIVE_FORMS:
+        raise ValueError(f"negative_form must be one of {NEGATIVE_FORMS}")
+    w = np.ones(NUM_TERMS) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != (NUM_TERMS,):
+        raise ValueError(f"expected {NUM_TERMS} term weights")
+    d1, d2, d3, d4, d5, d6 = _addat_term_dots(emb, batch)
+    terms = np.array([
+        log_sigmoid(d1).sum(),
+        log_sigmoid(_addat_repel_arg(d2, negative_form)).sum(),
+        log_sigmoid(d3).sum(),
+        log_sigmoid(_addat_repel_arg(d4, negative_form)).sum(),
+        log_sigmoid(d5).sum(),
+        log_sigmoid(d6).sum(),
+    ])
+    return LossValue(total=float(-(w * terms).sum()), terms=terms)
+
+
+def addat_loss_grad(emb, batch: LossBatch, weights=None,
+                    negative_form: str = "one_minus_dot"):
+    """Gradients of the negated total w.r.t. the embedding rows.
+
+    Attract terms contribute (sigmoid(dot) - 1) times the opposite row;
+    repel terms contribute the derivative of -log sigmoid(1 - dot),
+    which is 1 - sigmoid(1 - dot), times the opposite row (or the
+    mirrored sign for the conventional -dot form). Returns (grad_s,
+    grad_t) aligned with the embedding rows.
+    """
+    if negative_form not in NEGATIVE_FORMS:
+        raise ValueError(f"negative_form must be one of {NEGATIVE_FORMS}")
+    w = np.ones(NUM_TERMS) if weights is None else np.asarray(weights, dtype=np.float64)
+    gs = np.zeros_like(emb.theta_s)
+    gt = np.zeros_like(emb.theta_t)
+    e = batch.cp_edges
+    ow = batch.one_way
+    cv = batch.cv_pairs
+
+    def attract_coeff(dots):
+        # d/ddot of -log sigmoid(dot)
+        return sigmoid(dots) - 1.0
+
+    def repel_coeff(dots):
+        # d/ddot of -log sigmoid(repel_arg(dot))
+        if negative_form == "one_minus_dot":
+            return 1.0 - sigmoid(1.0 - dots)
+        return sigmoid(dots)
+
+    def accumulate(grad, rows, coeff, vecs):
+        np.add.at(grad, rows, coeff[:, None] * vecs)
+
+    if len(e):
+        u_rows = emb.rows_of(e[:, 0])
+        v_rows = emb.rows_of(e[:, 1])
+        s_u = emb.theta_s[u_rows]
+        t_v = emb.theta_t[v_rows]
+        d1 = np.sum(s_u * t_v, axis=1)
+        c1 = w[0] * attract_coeff(d1)
+        accumulate(gs, u_rows, c1, t_v)
+        accumulate(gt, v_rows, c1, s_u)
+        if batch.negatives.size:
+            z = batch.negatives
+            z_rows = emb.rows_of(z.ravel())
+            t_z = emb.theta_t[z_rows]
+            s_u_rep = np.repeat(s_u, z.shape[1], axis=0)
+            u_rows_rep = np.repeat(u_rows, z.shape[1])
+            d2 = np.sum(s_u_rep * t_z, axis=1)
+            c2 = w[1] * repel_coeff(d2)
+            accumulate(gs, u_rows_rep, c2, t_z)
+            accumulate(gt, z_rows, c2, s_u_rep)
+        if ow.any():
+            uo_rows, vo_rows = u_rows[ow], v_rows[ow]
+            d3 = d1[ow]
+            c3 = w[2] * attract_coeff(d3)
+            accumulate(gs, uo_rows, c3, emb.theta_t[vo_rows])
+            accumulate(gt, vo_rows, c3, emb.theta_s[uo_rows])
+            s_v = emb.theta_s[vo_rows]
+            t_u = emb.theta_t[uo_rows]
+            d4 = np.sum(s_v * t_u, axis=1)
+            c4 = w[3] * repel_coeff(d4)
+            accumulate(gs, vo_rows, c4, t_u)
+            accumulate(gt, uo_rows, c4, s_v)
+    if len(cv):
+        a_rows = emb.rows_of(cv[:, 0])
+        b_rows = emb.rows_of(cv[:, 1])
+        s_a, s_b = emb.theta_s[a_rows], emb.theta_s[b_rows]
+        t_a, t_b = emb.theta_t[a_rows], emb.theta_t[b_rows]
+        c5 = w[4] * attract_coeff(np.sum(s_a * s_b, axis=1))
+        accumulate(gs, a_rows, c5, s_b)
+        accumulate(gs, b_rows, c5, s_a)
+        c6 = w[5] * attract_coeff(np.sum(t_a * t_b, axis=1))
+        accumulate(gt, a_rows, c6, t_b)
+        accumulate(gt, b_rows, c6, t_a)
+    return gs, gt
+
+
+# ----------------------------------------------------------------------
+# The aggregate-then-transform model, relu((A @ H) @ W) with four dense
+# products per layer: the oracle for the transform-then-aggregate order,
+# which matches it up to reassociation.
+# ----------------------------------------------------------------------
+
+def _agg_selection(ptr: np.ndarray, rows: np.ndarray, n_cols: int) -> sp.csr_matrix:
+    data = np.ones(len(rows), dtype=np.float64)
+    return sp.csr_matrix((data, rows, ptr), shape=(len(ptr) - 1, n_cols))
+
+
+@dataclasses.dataclass
+class AggregateFirstTape:
+    """What one forward pass keeps for its backward pass.
+
+    steps[(channel, layer)] holds the selection matrices, the summed
+    neighbor inputs, the ReLU masks, the pre-normalization row norms and
+    the normalized output of that channel's layer. A tape is only valid
+    for the weights it was recorded with.
+    """
+
+    num_layers: int
+    steps: dict
+
+
+def aggregate_first_layer(sel_cp, feed_cp, sel_cv, feed_cv, w: np.ndarray,
+                          l: int, ch: str) -> tuple:
+    """One (layer, channel) step: relu(sel_cp @ feed_cp @ w) +
+    relu(sel_cv @ feed_cv @ w), rows normalized. Returns the summed
+    neighbor inputs, the ReLU masks, the pre-normalization row norms and
+    the normalized output, in that order."""
+    sum_cp = sel_cp @ feed_cp
+    sum_cv = sel_cv @ feed_cv
+    # ReLUs and the sum run in place, so at most one pre-activation
+    # matrix is alive; the arithmetic is the same as out of place
+    h = sum_cp @ w
+    on_cp = h > 0.0
+    np.maximum(h, 0.0, out=h)
+    pre_cv = sum_cv @ w
+    on_cv = pre_cv > 0.0
+    h += np.maximum(pre_cv, 0.0, out=pre_cv)
+    if not np.isfinite(h).all():
+        raise NumericalError(
+            f"non-finite activations in layer {l} ({ch} channel)")
+    norms = np.linalg.norm(h, axis=1)
+    if not np.isfinite(norms).all():
+        raise NumericalError(
+            f"non-finite row norms in layer {l} ({ch} channel)")
+    h /= np.where(norms > 0.0, norms, 1.0)[:, None]
+    return sum_cp, sum_cv, on_cp, on_cv, norms, h
+
+
+def aggregate_first_forward(blocks: ComputationBlocks, features: np.ndarray,
+                            params: ModelParams
+                            ) -> tuple[DualEmbeddings, AggregateFirstTape]:
+    """Embeddings for the block seeds (rows align with blocks.seeds), plus
+    the tape that `backward` needs for the same weights."""
+    if params.num_layers != blocks.num_layers:
+        raise ValueError(
+            f"blocks have {blocks.num_layers} layers, params {params.num_layers}")
+    if features.shape[1] != params.input_dim:
+        raise ValueError(
+            f"feature dim {features.shape[1]} != model input dim {params.input_dim}")
+    H = {}
+    for ch in (SOURCE, TARGET):
+        H[(ch, 0)] = features[blocks.levels[0][ch].nodes]
+    steps = {}
+    for l in range(1, blocks.num_layers + 1):
+        w = params.weights[l - 1]
+        for ch in (SOURCE, TARGET):
+            blk = blocks.levels[l][ch]
+            other = TARGET if ch == SOURCE else SOURCE
+            feed_cp = H[(other, l - 1)]
+            feed_cv = H[(ch, l - 1)]
+            sel_cp = _agg_selection(blk.cp_ptr, blk.cp_rows, feed_cp.shape[0])
+            sel_cv = _agg_selection(blk.cv_ptr, blk.cv_rows, feed_cv.shape[0])
+            step = aggregate_first_layer(sel_cp, feed_cp, sel_cv, feed_cv, w, l, ch)
+            H[(ch, l)] = step[-1]
+            steps[(ch, l)] = (sel_cp, sel_cv) + step
+    L = blocks.num_layers
+    emb = DualEmbeddings(nodes=blocks.seeds,
+                         theta_s=H[(SOURCE, L)], theta_t=H[(TARGET, L)])
+    return emb, AggregateFirstTape(num_layers=L, steps=steps)
+
+
+def aggregate_first_backward(tape: AggregateFirstTape, params: ModelParams,
+                             loss_grad_s: np.ndarray,
+                             loss_grad_t: np.ndarray) -> list[np.ndarray]:
+    """Gradients of a scalar loss w.r.t. every weight matrix.
+
+    tape comes from `forward` with these same params; loss_grad_s /
+    loss_grad_t are the loss gradients w.r.t. its seed output rows.
+    Normalization backpropagates through the standard projected Jacobian,
+    with zero-norm rows contributing nothing; the ReLU subgradient at 0
+    is 0. Shared weights accumulate across channels and relation terms.
+    """
+    if params.num_layers != tape.num_layers:
+        raise ValueError(
+            f"tape has {tape.num_layers} layers, params {params.num_layers}")
+    L = tape.num_layers
+    grads = [np.zeros_like(w) for w in params.weights]
+    gH = {(SOURCE, L): np.array(loss_grad_s, dtype=np.float64),
+          (TARGET, L): np.array(loss_grad_t, dtype=np.float64)}
+    for l in range(L, 0, -1):
+        w = params.weights[l - 1]
+        for ch in (SOURCE, TARGET):
+            g_out = gH.pop((ch, l), None)
+            if g_out is None:
+                continue
+            sel_cp, sel_cv, sum_cp, sum_cv, on_cp, on_cv, norms, y = \
+                tape.steps[(ch, l)]
+            nz = norms > 0.0
+            dot = np.sum(y * g_out, axis=1, keepdims=True)
+            g_pre = g_out - y * dot
+            g_pre /= np.where(nz, norms, 1.0)[:, None]
+            g_pre[~nz] = 0.0
+            g_cp = g_pre * on_cp
+            g_cv = g_pre * on_cv
+            grads[l - 1] += sum_cp.T @ g_cp + sum_cv.T @ g_cv
+            if l == 1:
+                continue  # input features are constants
+            other = TARGET if ch == SOURCE else SOURCE
+            for key, sel, g_sum in (((other, l - 1), sel_cp, g_cp @ w.T),
+                                    ((ch, l - 1), sel_cv, g_cv @ w.T)):
+                contrib = sel.T @ g_sum
+                if key in gH:
+                    gH[key] = gH[key] + contrib
+                else:
+                    gH[key] = contrib
+    for l, g in enumerate(grads):
+        if not np.isfinite(g).all():
+            raise NumericalError(f"non-finite gradient for weight {l}")
+    return grads
+
+
+def aggregate_first_embed_all(g: DirectedProductGraph, features: np.ndarray,
+                              params: ModelParams) -> DualEmbeddings:
+    """Embeddings for every product, row order = dense node ids.
+
+    Inference is layer-wise over the whole graph: each layer is computed
+    once for every node from the graph's own CSR adjacencies, and only the
+    previous layer is kept, so no tape is recorded. Neighborhoods are
+    full (unsampled), so the result is deterministic. It equals `forward`
+    over full blocks seeded with every node, up to BLAS blocking in the
+    last ulp.
+    """
+    n = g.num_nodes
+    if features.shape != (n, params.input_dim):
+        raise ValueError(
+            f"features have shape {features.shape}, expected "
+            f"({n}, {params.input_dim})")
+    cp_out = _agg_selection(g.cp_out.indptr, g.cp_out.indices, n)
+    cp_in = _agg_selection(g.cp_in.indptr, g.cp_in.indices, n)
+    cv = _agg_selection(g.cv_out.indptr, g.cv_out.indices, n)
+    S = T = features
+    for l, w in enumerate(params.weights, start=1):
+        # source pulls cp out-neighbors' targets, target pulls cp
+        # in-neighbors' sources; co-view keeps the channel
+        S, T = (aggregate_first_layer(cp_out, T, cv, S, w, l, SOURCE)[-1],
+                aggregate_first_layer(cp_in, S, cv, T, w, l, TARGET)[-1])
+    return DualEmbeddings(nodes=np.arange(n), theta_s=S, theta_t=T)

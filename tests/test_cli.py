@@ -301,3 +301,56 @@ def test_resume_with_more_epochs_matches_straight_run(one_epoch, tmp_path):
     assert _train(edges, features, cfg, straight, "--epochs", "2") == 0
     for name in ("model.ckpt", "train_state.ckpt"):
         assert (resumed / name).read_bytes() == (straight / name).read_bytes()
+
+
+# --- rerun determinism, in process --------------------------------------
+
+def _pipeline(root, run):
+    """synth -> train (one epoch, edge split) -> embed -> recommend ->
+    coldstart into root/run; returns every output file's bytes."""
+    out = root / run
+    assert cli.main(["synth", "--config", str(root / "synth.cfg"),
+                     "--out", str(out / "corpus")]) == 0
+    edges, features = out / "corpus" / "edges.tsv", out / "corpus" / "features.tsv"
+    model, index = out / "model", out / "index"
+    assert _train(edges, features, root / "train.cfg", model, "--epochs",
+                  "1") == 0
+    assert cli.main(["embed", "--model", str(model), "--graph", str(edges),
+                     "--features", str(features), "--out", str(index)]) == 0
+    keys = [line.split("\t")[0]
+            for line in features.read_text().splitlines()[1:6]]
+    (out / "keys.txt").write_text("\n".join(keys) + "\n")
+    assert cli.main(["recommend", "--index", str(index), "--query",
+                     str(out / "keys.txt"), "--k", "5",
+                     "--out", str(out / "recs.tsv")]) == 0
+    rows = features.read_text().splitlines()
+    (out / "cold.tsv").write_text(
+        "3\t8\n" + "".join(f"cold{i}\t{row.split(chr(9))[1]}\n"
+                           for i, row in enumerate(rows[1:4])))
+    assert cli.main(["coldstart", "--model", str(model), "--features",
+                     str(features), "--cold", str(out / "cold.tsv"), "--k",
+                     "5", "--out", str(out / "cold_recs.tsv")]) == 0
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_pipeline_rerun_is_byte_identical(tmp_path):
+    """Two runs of the whole pipeline write the same bytes: one fixed
+    operation order per run, so float reassociation cannot leak between
+    runs. Only the manifests' timestamps and the log's batch times
+    differ."""
+    (tmp_path / "synth.cfg").write_text(
+        "num_categories = 4\nproducts_per_category = 30\nfeature_dim = 8\n"
+        "seed = 5\n")
+    (tmp_path / "train.cfg").write_text(RESUME_CFG)
+    first, second = _pipeline(tmp_path, "a"), _pipeline(tmp_path, "b")
+    assert first.keys() == second.keys()
+    for name in ("model/model.ckpt", "model/train_state.ckpt",
+                 "index/embeddings.tsv", "recs.tsv", "cold_recs.tsv"):
+        assert first[name] and first[name] == second[name], name
+    logs = [[line.split("\t")[:-1] for line in run["model/train_log.tsv"]
+             .decode().splitlines()] for run in (first, second)]
+    assert logs[0] and logs[0] == logs[1]
+    for name in first:
+        if not name.endswith(("manifest.json", "train_log.tsv")):
+            assert first[name] == second[name], name

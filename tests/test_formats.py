@@ -23,7 +23,7 @@ from asymgraph.graph import (KeyMap, build_graph, dump_edge_file,
 from asymgraph.model import (CHECKPOINT_MAGIC, DualEmbeddings, ModelParams,
                              dump_embeddings, load_checkpoint,
                              load_embeddings, save_checkpoint)
-from asymgraph.synth import SynthConfig
+from asymgraph.synth import SynthConfig, generate, write_corpus
 from asymgraph.trainer import (STATE_MAGIC, STATE_VERSION, AdamState,
                                TrainConfig, TrainState, resume, run_digest,
                                save_train_state)
@@ -47,10 +47,13 @@ def _loads_or_rejects(load, path):
 # --- strategies ---------------------------------------------------------
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-# keys the text formats can carry: no tab or line break, no leading `#`
+# keys the text formats can carry: non-empty, no tab or line break, no
+# leading `#`
 keys = st.text(st.characters(blacklist_characters="\t\n\r",
                              blacklist_categories=("Cs",)),
-               max_size=8).filter(lambda k: not k.startswith("#"))
+               min_size=1, max_size=8).filter(lambda k: not k.startswith("#"))
+# keys they cannot
+BAD_KEYS = ["", "#a", "a\tb", "a\rb", "a\nb", "a\r\nb"]
 
 
 @st.composite
@@ -303,6 +306,87 @@ def test_edge_file_roundtrip(scratch, pairs, cv):
     g2 = build_graph(cp2, cv2, 6)
     assert np.array_equal(g2.cp_edges, g.cp_edges)
     assert np.array_equal(g2.cv_pairs, g.cv_pairs)
+
+
+# --- keys the text formats cannot hold ----------------------------------
+
+def _writers(key):
+    """Each text writer, given a key map holding `key` beside a good one."""
+    km = KeyMap(["p0", key])
+    X = np.ones((2, 2))
+    g = build_graph([(0, 1)], [(0, 1)], 2)
+    return {
+        "features.tsv": lambda p: dump_feature_file(X, km, p),
+        "embeddings.tsv": lambda p: dump_embeddings(
+            DualEmbeddings(np.arange(2), X, X), km, p),
+        "graph.tsv": lambda p: dump_edge_file(g, km, p),
+    }
+
+
+@pytest.mark.parametrize("key", BAD_KEYS)
+@pytest.mark.parametrize("name", ["features.tsv", "embeddings.tsv",
+                                  "graph.tsv"])
+def test_writers_refuse_keys_their_readers_cannot_hold(tmp_path, key, name):
+    path = tmp_path / name
+    path.write_text("old\n")
+    with pytest.raises(DataFormatError, match="cannot be written"):
+        _writers(key)[name](path)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+@FUZZ
+@given(key=st.text(max_size=4))
+def test_any_key_is_refused_or_read_back(scratch, key):
+    """Whatever the key, a text file either refuses it or gives it back."""
+    for name, write in _writers(key).items():
+        path = scratch / name
+        try:
+            write(path)
+        except DataFormatError:
+            continue
+        if name == "graph.tsv":
+            cp, cv, km = load_edge_file(path)
+            assert km.keys() == ["p0", key] and cp == cv == [(0, 1)]
+        else:
+            load = load_feature_file if name == "features.tsv" \
+                else load_embeddings
+            assert load(path)[1].keys() == ["p0", key]
+
+
+@pytest.mark.parametrize("body, line", [
+    ("a\tb\tcp\na\t#b\tcp\n", 2),    # a comment line once reordered
+    ("a\t#b\tcv\n", 1),
+    ("\tb\tcp\n", 1),                 # empty keys
+    ("a\tb\tcp\na\t\tcv\n", 2),
+])
+def test_edge_file_refuses_keys_a_dump_cannot_hold(tmp_path, body, line):
+    path = tmp_path / "edges.tsv"
+    path.write_text(body)
+    with pytest.raises(DataFormatError, match=rf"malformed edge lines {line}$"):
+        load_edge_file(path)
+
+
+def test_feature_file_refuses_an_empty_key(tmp_path):
+    path = tmp_path / "features.tsv"
+    path.write_text("2\t1\np0\t1\n\t2\n")
+    with pytest.raises(DataFormatError, match="line 3"):
+        load_feature_file(path)
+
+
+def test_synth_output_refuses_a_bad_key_before_writing(tmp_path):
+    data = generate(SynthConfig(num_categories=2, seed=3))
+    keys = data.key_map.keys()
+    bad = dataclasses.replace(data, key_map=KeyMap(["#" + keys[0]] + keys[1:]))
+    with pytest.raises(DataFormatError, match="cannot be written"):
+        write_corpus(bad, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    paths = write_corpus(data, tmp_path)
+    cp, cv, km = load_edge_file(paths["edges"])
+    X, km2 = load_feature_file(paths["features"])
+    assert len(cp) == len(data.cp_pairs) and len(cv) == len(data.cv_pairs)
+    assert np.array_equal(X, data.features)
+    assert sorted(km.keys()) == sorted(keys) and km2.keys() == keys
 
 
 # --- binary: checkpoint and training state -------------------------------

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from asymgraph.loss import (LossBatch, asymmetric_loss, log_sigmoid,
-                            loss_grad, sigmoid)
+from asymgraph.loss import (NEGATIVE_FORMS, LossBatch, asymmetric_loss,
+                            log_sigmoid, loss_grad, sigmoid)
 from asymgraph.model import DualEmbeddings
-from reference import log_sigmoid_scalar, naive_loss
+from reference import (addat_asymmetric_loss, addat_loss_grad,
+                       log_sigmoid_scalar, naive_loss)
 
 
 def make_emb(theta_s, theta_t):
@@ -58,7 +61,7 @@ def test_empty_batch_is_zero():
     value = asymmetric_loss(emb, LossBatch.empty())
     assert value.total == 0.0
     assert np.array_equal(value.terms, np.zeros(6))
-    gs, gt = loss_grad(emb, LossBatch.empty())
+    _, gs, gt = loss_grad(emb, LossBatch.empty())
     assert np.array_equal(gs, np.zeros((2, 2)))
     assert np.array_equal(gt, np.zeros((2, 2)))
 
@@ -122,7 +125,7 @@ def test_untouched_rows_get_zero_grad():
     rng = np.random.default_rng(5)
     emb = make_emb(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
     batch = LossBatch([(0, 1)], [True], [(2, 3)], [[4]])
-    gs, gt = loss_grad(emb, batch)
+    _, gs, gt = loss_grad(emb, batch)
     assert np.array_equal(gs[5], np.zeros(3))
     assert np.array_equal(gt[5], np.zeros(3))
     # node 4 appears only as a negative: its source row is untouched
@@ -135,7 +138,7 @@ def test_coview_grads_are_mirrored():
     emb = make_emb(rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))
     batch = LossBatch(np.empty((0, 2)), np.empty(0, dtype=bool),
                       [(0, 1)], np.empty((0, 1)))
-    gs, _ = loss_grad(emb, batch)
+    _, gs, _ = loss_grad(emb, batch)
     coeff = sigmoid(np.dot(emb.theta_s[0], emb.theta_s[1])) - 1.0
     assert np.allclose(gs[0], coeff * emb.theta_s[1], atol=1e-12)
     assert np.allclose(gs[1], coeff * emb.theta_s[0], atol=1e-12)
@@ -155,7 +158,7 @@ def test_grad_matches_finite_differences():
     def total(ts, tt):
         return asymmetric_loss(make_emb(ts, tt), batch).total
 
-    gs, gt = loss_grad(make_emb(theta_s, theta_t), batch)
+    _, gs, gt = loss_grad(make_emb(theta_s, theta_t), batch)
     h = 1e-6
     for mat, grad, which in ((theta_s, gs, "s"), (theta_t, gt, "t")):
         for i in range(n):
@@ -203,3 +206,51 @@ def test_term_weights_scale_total():
     expected = -(2 * base.terms[0] + base.terms[2] + base.terms[3]
                  + base.terms[4] + base.terms[5])
     assert weighted.total == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def loss_cases(draw):
+    """Embeddings over sparse node ids and a batch that may be empty, have
+    no one-way edges or co-view pairs, repeat rows, or zero term
+    weights."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 4))
+    ids = np.array(sorted(draw(st.sets(st.integers(0, 50), min_size=n,
+                                       max_size=n))))
+    node = st.sampled_from(ids.tolist())
+    m = draw(st.integers(0, 10))
+    cp = draw(st.lists(st.tuples(node, node), min_size=m, max_size=m))
+    one_way = draw(st.sampled_from(["none", "all", "some"]))
+    ow = {"none": [False] * m, "all": [True] * m,
+          "some": draw(st.lists(st.booleans(), min_size=m, max_size=m))}[one_way]
+    cv = draw(st.lists(st.tuples(node, node), max_size=6))
+    k = draw(st.integers(0, 3)) if m else 0
+    negs = draw(st.lists(node, min_size=m * k, max_size=m * k))
+    weights = draw(st.one_of(
+        st.none(), st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                            min_size=6, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 30.0]))
+    emb = DualEmbeddings(ids, scale * rng.normal(size=(n, d)),
+                         scale * rng.normal(size=(n, d)))
+    batch = LossBatch(np.array(cp, dtype=np.int64).reshape(-1, 2), ow,
+                      np.array(cv, dtype=np.int64).reshape(-1, 2),
+                      np.array(negs, dtype=np.int64).reshape(m, k))
+    return emb, batch, weights, draw(st.sampled_from(NEGATIVE_FORMS))
+
+
+@given(case=loss_cases())
+def test_one_pass_is_bitwise_the_add_at_oracle(case):
+    """The one-pass value, its six terms and both gradients are bitwise
+    those of the two-pass, np.add.at code it replaced."""
+    emb, batch, weights, form = case
+    value, gs, gt = loss_grad(emb, batch, weights=weights, negative_form=form)
+    want = addat_asymmetric_loss(emb, batch, weights=weights, negative_form=form)
+    want_s, want_t = addat_loss_grad(emb, batch, weights=weights,
+                                     negative_form=form)
+    assert np.float64(value.total).tobytes() == np.float64(want.total).tobytes()
+    assert value.terms.tobytes() == want.terms.tobytes()
+    assert gs.shape == want_s.shape and gs.tobytes() == want_s.tobytes()
+    assert gt.shape == want_t.shape and gt.tobytes() == want_t.tobytes()
+    alone = asymmetric_loss(emb, batch, weights=weights, negative_form=form)
+    assert alone.terms.tobytes() == want.terms.tobytes()

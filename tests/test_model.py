@@ -16,7 +16,14 @@ from asymgraph.sampler import full_blocks, sample_blocks, sample_negatives
 from asymgraph.graph import one_way_mask
 from asymgraph.graph import KeyMap
 from asymgraph.trainer import AdamState, TrainState, save_train_state
-from reference import batched_embed_all, naive_dual_embeddings
+from reference import (aggregate_first_backward, aggregate_first_embed_all,
+                       aggregate_first_forward, batched_embed_all,
+                       naive_dual_embeddings)
+
+
+def _close(got, want):
+    """Equal up to reassociation: within 1e-12, absolute or relative."""
+    return np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestForward:
@@ -149,7 +156,7 @@ class TestBackward:
         blocks = full_blocks(g, np.arange(20), 2)
 
         emb, tape = forward(blocks, X, params)
-        gs, gt = loss_grad(emb, batch)
+        _, gs, gt = loss_grad(emb, batch)
         analytic = backward(tape, params, gs, gt)
 
         h = 1e-5
@@ -179,7 +186,7 @@ class TestBackward:
         batch = LossBatch(edges, one_way_mask(g, edges), g.cv_pairs, negs)
         blocks = sample_blocks(g, np.arange(20), [3, 3, 3], rng_seed=2)
         emb, tape = forward(blocks, X, params)
-        gs, gt = loss_grad(emb, batch)
+        _, gs, gt = loss_grad(emb, batch)
         from_tape = backward(tape, params, gs, gt)
         fresh = backward(forward(blocks, X, params)[1], params, gs, gt)
         again = backward(tape, params, gs, gt)
@@ -193,6 +200,64 @@ class TestBackward:
         other = ModelParams.init(5, 4, 3, np.random.default_rng(6))
         with pytest.raises(ValueError, match="layers"):
             backward(tape, other, np.zeros((20, 4)), np.zeros((20, 4)))
+
+
+class TestAggregateFirstOracle:
+    """Transform-then-aggregate, relu(A @ (H @ W)), against the
+    aggregate-then-transform code it replaced, relu((A @ H) @ W)."""
+
+    @given(st.data())
+    def test_forward_backward_and_embed_all_match(self, data):
+        linked = data.draw(st.integers(1, 12), label="linked nodes")
+        n = linked + data.draw(st.integers(0, 3), label="isolated nodes")
+        pair = st.tuples(st.integers(0, linked - 1), st.integers(0, linked - 1))
+        cp = data.draw(st.lists(pair, max_size=30))
+        cv = data.draw(st.lists(pair, max_size=15))
+        layers = data.draw(st.integers(1, 3), label="layers")
+        caps = data.draw(st.lists(st.one_of(st.none(), st.integers(1, 3)),
+                                  min_size=layers, max_size=layers))
+        seeds = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        g = build_graph(cp, cv, n)
+        X = rng.normal(size=(n, 3))
+        X[rng.random(n) < 0.2] = 0.0
+        params = ModelParams.init(3, 4, layers, rng)
+        blocks = sample_blocks(g, seeds, caps, rng_seed=1)
+
+        emb, tape = forward(blocks, X, params)
+        want, want_tape = aggregate_first_forward(blocks, X, params)
+        assert _close(emb.theta_s, want.theta_s)
+        assert _close(emb.theta_t, want.theta_t)
+        gs, gt = rng.normal(size=(2,) + emb.theta_s.shape)
+        for got, ref in zip(backward(tape, params, gs, gt),
+                            aggregate_first_backward(want_tape, params, gs, gt)):
+            assert _close(got, ref)
+        whole = embed_all(g, X, params)
+        ref = aggregate_first_embed_all(g, X, params)
+        assert _close(whole.theta_s, ref.theta_s)
+        assert _close(whole.theta_t, ref.theta_t)
+
+    def test_weight_grads_match_on_a_training_batch(self, corpus):
+        """A capped 3-layer batch of the default corpus, with the loss's
+        own gradients."""
+        _, g = corpus
+        X = np.random.default_rng(2).normal(size=(g.num_nodes, 8))
+        params = ModelParams.init(8, 16, 3, np.random.default_rng(3))
+        edges = g.cp_edges[:300]
+        negs = sample_negatives(g, edges, 3, rng_seed=4)
+        batch = LossBatch(edges, one_way_mask(g, edges), g.cv_pairs[:100], negs)
+        seeds = np.concatenate([edges.ravel(), negs.ravel(),
+                                g.cv_pairs[:100].ravel()])
+        blocks = sample_blocks(g, seeds, [20, 10, 10], rng_seed=5)
+        emb, tape = forward(blocks, X, params)
+        want, want_tape = aggregate_first_forward(blocks, X, params)
+        assert _close(emb.theta_s, want.theta_s)
+        assert _close(emb.theta_t, want.theta_t)
+        _, gs, gt = loss_grad(emb, batch)
+        for got, ref in zip(backward(tape, params, gs, gt),
+                            aggregate_first_backward(want_tape, params, gs, gt)):
+            assert _close(got, ref)
 
 
 class TestEmbedAll:

@@ -249,6 +249,24 @@ def test_one_step_runs_one_forward(small, monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_loss_pass_per_batch(small, monkeypatch):
+    """The loss value and its gradients come from one call per batch."""
+    g, X, cfg = small
+    calls = []
+    real = trainer.loss_grad
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "loss_grad", counting)
+    two_epochs = dataclasses.replace(cfg, max_epochs=2)
+    result = train(g, X, two_epochs)
+    batches = -(-len(g.cp_edges) // cfg.batch_size)
+    assert batches > 1 and len(result.history) == 2
+    assert len(calls) == 2 * batches
+
+
 def test_incident_cv_pairs_matches_set_filter(random_graph):
     g, _ = random_graph(num_nodes=25, num_cp=30, num_cv=80, seed=16)
     endpoints = np.array([1, 4, 9, 20])
