@@ -3,9 +3,8 @@ directed product graphs."""
 
 __version__ = "0.1.0"
 
-from .graph import (DirectedProductGraph, Direction, KeyMap, RelationKind,
-                    build_graph, graph_stats, load_edge_file,
-                    load_feature_file, one_way_cp_edges)
+from .graph import (DirectedProductGraph, KeyMap, build_graph, graph_stats,
+                    load_edge_file, load_feature_file, one_way_cp_edges)
 from .loss import LossBatch, LossValue, asymmetric_loss, loss_grad
 from .model import (DualEmbeddings, ModelParams, backward, embed_all, forward,
                     load_checkpoint, save_checkpoint)
@@ -15,12 +14,12 @@ from .synth import SynthConfig, generate
 from .trainer import TrainConfig, TrainResult, resume, train
 
 __all__ = [
-    "DirectedProductGraph", "Direction", "KeyMap", "RelationKind",
-    "build_graph", "graph_stats", "load_edge_file", "load_feature_file",
-    "one_way_cp_edges", "LossBatch", "LossValue", "asymmetric_loss",
-    "loss_grad", "DualEmbeddings", "ModelParams", "backward", "embed_all",
-    "forward", "load_checkpoint", "save_checkpoint", "EmbeddingIndex",
-    "recommend_related", "recommend_similar", "ComputationBlocks",
-    "sample_blocks", "sample_negatives", "SynthConfig", "generate",
-    "TrainConfig", "TrainResult", "resume", "train",
+    "DirectedProductGraph", "KeyMap", "build_graph", "graph_stats",
+    "load_edge_file", "load_feature_file", "one_way_cp_edges", "LossBatch",
+    "LossValue", "asymmetric_loss", "loss_grad", "DualEmbeddings",
+    "ModelParams", "backward", "embed_all", "forward", "load_checkpoint",
+    "save_checkpoint", "EmbeddingIndex", "recommend_related",
+    "recommend_similar", "ComputationBlocks", "sample_blocks",
+    "sample_negatives", "SynthConfig", "generate", "TrainConfig",
+    "TrainResult", "resume", "train",
 ]

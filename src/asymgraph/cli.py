@@ -213,9 +213,11 @@ def cmd_recommend(args) -> int:
                 "needs the training graph next to the embeddings")
         cp, cv, _ = load_edge_file(graph_path, key_map=km)
         graph = build_graph(cp, cv, len(km))
-    index = retrieval.EmbeddingIndex.build(emb, key_map=km, graph=graph)
+    index = retrieval.EmbeddingIndex.build(emb, graph=graph)
     if Path(args.query).exists():
-        keys = [s.strip() for _, s in formats.text_lines(args.query) if s.strip()]
+        # a key keeps its spaces: only the line break (`\n` or `\r\n`)
+        # goes, and empty lines are skipped
+        keys = [s for _, s in formats.text_lines(args.query) if s]
     else:
         keys = [args.query]
     unknown = [k for k in keys if k not in km]
@@ -239,7 +241,7 @@ def cmd_coldstart(args) -> int:
     params = load_checkpoint(Path(args.model) / "model.ckpt")
     cold_features, cold_km = load_feature_file(args.cold)
     emb = embed_all(g, features, params)
-    index = retrieval.EmbeddingIndex.build(emb, key_map=km, graph=g)
+    index = retrieval.EmbeddingIndex.build(emb, graph=g)
     with _output(args.out) as out:
         for i in range(len(cold_km)):
             req = ColdStartRequest(key=cold_km.key_of(i),

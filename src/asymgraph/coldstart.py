@@ -2,10 +2,10 @@
 products and run the trained model over the augmented neighborhood.
 
 Each request splices the cold product into a private overlay of the base
-graph (`attach_node`): only the adjacencies that gain edges are copied,
-the rest are shared read-only, and nothing is rebuilt or re-sorted. The
-base graph and warm embeddings are never touched, so concurrent cold
-products cannot interact.
+graph (`attach_node`): the overlay splices co-view rows only, shares the
+co-purchase rows read-only, and rebuilds or re-sorts nothing. The base
+graph and warm embeddings are never touched, so concurrent cold products
+cannot interact.
 """
 
 from __future__ import annotations
@@ -26,14 +26,11 @@ class ColdStartRequest:
     key: str
     features: np.ndarray
     k_sim: int = 5
-    relation: str = "cv"   # "cp" available for ablation
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64).reshape(-1)
         if self.k_sim < 1:
             raise ValueError("k_sim must be >= 1")
-        if self.relation not in ("cv", "cp"):
-            raise ValueError("relation must be 'cv' or 'cp'")
         if not np.isfinite(self.features).all():
             raise ValueError("cold-start feature vector must be finite")
         if not np.any(self.features):
@@ -69,19 +66,16 @@ def attach_and_embed(g: DirectedProductGraph, features: np.ndarray,
     """Embed one cold product via a temporary edge overlay.
 
     Returns (theta_s, theta_t, warm_ids). The overlay adds symmetric
-    co-view edges (or directed co-purchase edges under the ablation flag)
-    from the cold node to its feature-nearest warm products, then runs
-    the full-neighborhood forward pass for the cold node only.
+    co-view edges from the cold node to its feature-nearest warm
+    products, then runs the full-neighborhood forward pass for the cold
+    node only.
     """
     warm = find_warm_neighbors(features, req.features, req.k_sim,
                                eligible=eligible)
     if len(warm) == 0:
         raise ValueError("no eligible warm products to attach to")
     cold_id = g.num_nodes
-    if req.relation == "cv":
-        overlay = attach_node(g, cv_nbrs=warm)
-    else:
-        overlay = attach_node(g, cp_targets=warm)
+    overlay = attach_node(g, cv_nbrs=warm)
     aug_features = np.vstack([features, req.features[None, :]])
     blocks = full_blocks(overlay, [cold_id], params.num_layers)
     emb, _ = forward(blocks, aug_features, params)

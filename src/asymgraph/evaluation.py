@@ -12,7 +12,6 @@ out-neighbors by default.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -33,17 +32,8 @@ DEFAULT_KS = (5, 10, 20)
 TASKS = ("node-rec", "lp-exist", "lp-dir", "coldstart", "selection-bias")
 
 
-class SplitKind(enum.Enum):
-    EDGE = "edge"
-    NODE = "node"
-    SELECTION_BIAS = "selection-bias"
-
-
 @dataclass
 class EvalSplit:
-    kind: SplitKind
-    ratios: tuple
-    seed: int
     train_edges: np.ndarray | None = None
     val_edges: np.ndarray | None = None
     test_edges: np.ndarray | None = None
@@ -77,8 +67,7 @@ def make_edge_split(g: DirectedProductGraph, ratios=DEFAULT_RATIOS,
     ratios = _check_ratios(ratios)
     rng = derive_rng(seed, STREAM_SPLIT)
     tr, va, te = _three_way(g.num_cp_edges, ratios, rng)
-    return EvalSplit(kind=SplitKind.EDGE, ratios=ratios, seed=seed,
-                     train_edges=g.cp_edges[tr],
+    return EvalSplit(train_edges=g.cp_edges[tr],
                      val_edges=g.cp_edges[va],
                      test_edges=g.cp_edges[te])
 
@@ -108,10 +97,8 @@ def make_selection_bias_split(g: DirectedProductGraph, ratios=DEFAULT_RATIOS,
         synth = synth[np.sort(keep)]
     test = np.concatenate([base.test_edges, synth]) if len(synth) \
         else base.test_edges
-    return EvalSplit(kind=SplitKind.SELECTION_BIAS, ratios=base.ratios,
-                     seed=seed, train_edges=base.train_edges,
-                     val_edges=base.val_edges, test_edges=test,
-                     synth_test_edges=synth)
+    return EvalSplit(train_edges=base.train_edges, val_edges=base.val_edges,
+                     test_edges=test, synth_test_edges=synth)
 
 
 def make_node_split(g: DirectedProductGraph, ratios=DEFAULT_RATIOS,
@@ -120,15 +107,14 @@ def make_node_split(g: DirectedProductGraph, ratios=DEFAULT_RATIOS,
     ratios = _check_ratios(ratios)
     rng = derive_rng(seed, STREAM_SPLIT)
     tr, va, te = _three_way(g.num_nodes, ratios, rng)
-    return EvalSplit(kind=SplitKind.NODE, ratios=ratios, seed=seed,
-                     train_nodes=tr, val_nodes=va, test_nodes=te)
+    return EvalSplit(train_nodes=tr, val_nodes=va, test_nodes=te)
 
 
 def train_graph(g: DirectedProductGraph, split: EvalSplit,
                 use_coview: bool = True) -> DirectedProductGraph:
     """The graph visible at training/inference time for a split."""
     cv = g.cv_pairs if use_coview else np.empty((0, 2), dtype=np.int64)
-    if split.kind in (SplitKind.EDGE, SplitKind.SELECTION_BIAS):
+    if split.train_nodes is None:   # an edge split
         return build_graph(split.train_edges, cv, g.num_nodes)
     keep = np.zeros(g.num_nodes, dtype=bool)
     keep[split.train_nodes] = True

@@ -3,28 +3,21 @@
 Co-purchase pairs are kept exactly as directed edges; co-view pairs are
 symmetric similarity signal and get materialized in both directions.
 Self-pairs are dropped and duplicate (u, v, kind) triples deduplicated.
-The graph is immutable after construction and safe for concurrent reads.
+Each relation is stored once, as CSR adjacency (`cp_out`, `cp_in`,
+`cv_out`); the edge lists `cp_edges` and `cv_pairs` are derived from it
+on first use. The graph is immutable after construction and safe for
+concurrent reads.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataFormatError
 from .formats import read_rows, text_lines, write_pairs, write_rows
-
-
-class RelationKind(enum.Enum):
-    CO_PURCHASE = "cp"
-    CO_VIEW = "cv"
-
-
-class Direction(enum.Enum):
-    OUT = "out"
-    IN = "in"
 
 
 class KeyMap:
@@ -86,10 +79,10 @@ class Adjacency:
             + np.repeat(starts - first, deg)
         return deg, self.indices[pos]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        return bool(i < len(row) and row[i] == v)
+    def pairs(self) -> np.ndarray:
+        """Every stored (u, v) as an (m, 2) array, sorted by (u, v)."""
+        u = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+        return np.stack([u, self.indices], axis=1)
 
 
 def _csr_from_keys(keys: np.ndarray, num_nodes: int) -> Adjacency:
@@ -100,13 +93,9 @@ def _csr_from_keys(keys: np.ndarray, num_nodes: int) -> Adjacency:
     return Adjacency(indptr, keys % num_nodes)
 
 
-def _pairs_of(keys: np.ndarray, num_nodes: int) -> np.ndarray:
-    return np.stack([keys // num_nodes, keys % num_nodes], axis=1)
-
-
-def _reversed_keys(pairs: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Sorted `v * num_nodes + u` keys of the (u, v) pairs."""
-    return np.sort(pairs[:, 1] * num_nodes + pairs[:, 0])
+def _reversed_keys(keys: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Sorted `v * num_nodes + u` keys of the `u * num_nodes + v` keys."""
+    return np.sort(keys % num_nodes * num_nodes + keys // num_nodes)
 
 
 def _checked_pairs(pairs, num_nodes: int, name: str) -> np.ndarray:
@@ -127,39 +116,32 @@ class DirectedProductGraph:
     cp_out: Adjacency
     cp_in: Adjacency
     cv_out: Adjacency
-    # Canonical edge lists: cp directed pairs sorted by (u, v); cv stored
-    # once per unordered pair with u < v.
-    cp_edges: np.ndarray = field(repr=False)
-    cv_pairs: np.ndarray = field(repr=False)
 
     @property
     def cv_in(self) -> Adjacency:
         """Co-view is symmetric, so in-neighbors are the out-neighbors."""
         return self.cv_out
 
+    @functools.cached_property
+    def cp_edges(self) -> np.ndarray:
+        """Directed co-purchase edges sorted by (u, v)."""
+        return self.cp_out.pairs()
+
+    @functools.cached_property
+    def cv_pairs(self) -> np.ndarray:
+        """Co-view pairs once per unordered pair, as (u, v) with u < v,
+        sorted by (u, v)."""
+        pairs = self.cv_out.pairs()
+        return pairs[pairs[:, 0] < pairs[:, 1]]
+
     @property
     def num_cp_edges(self) -> int:
-        return len(self.cp_edges)
+        return len(self.cp_out.indices)
 
     @property
     def num_cv_edges(self) -> int:
         # directed count; both materialized directions
-        return 2 * len(self.cv_pairs)
-
-    def neighbors(self, u: int, kind: RelationKind,
-                  direction: Direction) -> np.ndarray:
-        if not 0 <= u < self.num_nodes:
-            raise IndexError(f"node id {u} out of range [0, {self.num_nodes})")
-        adj = {
-            (RelationKind.CO_PURCHASE, Direction.OUT): self.cp_out,
-            (RelationKind.CO_PURCHASE, Direction.IN): self.cp_in,
-            (RelationKind.CO_VIEW, Direction.OUT): self.cv_out,
-            (RelationKind.CO_VIEW, Direction.IN): self.cv_in,
-        }[(kind, direction)]
-        return adj.neighbors(u)
-
-    def has_cp_edge(self, u: int, v: int) -> bool:
-        return self.cp_out.has_edge(u, v)
+        return len(self.cv_out.indices)
 
 
 def build_graph(cp_pairs, cv_pairs, num_nodes: int) -> DirectedProductGraph:
@@ -175,15 +157,12 @@ def build_graph(cp_pairs, cv_pairs, num_nodes: int) -> DirectedProductGraph:
     cv = _checked_pairs(cv_pairs, n, "co-view")
     cp_keys = np.unique(cp[:, 0] * n + cp[:, 1])
     cv_keys = np.unique(cv.min(axis=1) * n + cv.max(axis=1))  # u < v
-    cp_edges, cv_pairs_u = _pairs_of(cp_keys, n), _pairs_of(cv_keys, n)
     return DirectedProductGraph(
         num_nodes=n,
         cp_out=_csr_from_keys(cp_keys, n),
-        cp_in=_csr_from_keys(_reversed_keys(cp_edges, n), n),
+        cp_in=_csr_from_keys(_reversed_keys(cp_keys, n), n),
         cv_out=_csr_from_keys(np.sort(np.concatenate(
-            [cv_keys, _reversed_keys(cv_pairs_u, n)])), n),
-        cp_edges=cp_edges,
-        cv_pairs=cv_pairs_u,
+            [cv_keys, _reversed_keys(cv_keys, n)])), n),
     )
 
 
@@ -193,59 +172,42 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return v
 
 
-def _splice(adj: Adjacency, rows: np.ndarray, new_row: np.ndarray) -> Adjacency:
-    """Add node n = len(indptr) - 1: append n to each of `rows` (sorted,
-    distinct) and append row n holding `new_row` (sorted, distinct).
+def _splice(adj: Adjacency, nbrs: np.ndarray) -> Adjacency:
+    """Add node n = len(indptr) - 1 with symmetric neighbors `nbrs`
+    (sorted, distinct): append n to each of their rows and append row n
+    holding `nbrs`.
 
     n exceeds every stored id, so it belongs at the end of each row it
-    joins. An adjacency that gains nothing shares its indices.
+    joins. With no neighbors, the indices are shared read-only.
     """
     n = len(adj.indptr) - 1
-    if len(rows) == 0 and len(new_row) == 0:
+    if len(nbrs) == 0:
         return Adjacency(np.append(adj.indptr, adj.indptr[-1]),
                          _read_only(adj.indices))
     indptr = adj.indptr.copy()
-    indptr[1:] += np.cumsum(np.bincount(rows, minlength=n))
-    indices = np.insert(adj.indices, adj.indptr[rows + 1], n)
-    return Adjacency(np.append(indptr, indptr[-1] + len(new_row)),
-                     np.concatenate([indices, new_row]))
+    indptr[1:] += np.cumsum(np.bincount(nbrs, minlength=n))
+    indices = np.insert(adj.indices, adj.indptr[nbrs + 1], n)
+    return Adjacency(np.append(indptr, indptr[-1] + len(nbrs)),
+                     np.concatenate([indices, nbrs]))
 
 
-def attach_node(g: DirectedProductGraph, cv_nbrs=(),
-                cp_targets=()) -> DirectedProductGraph:
+def attach_node(g: DirectedProductGraph, cv_nbrs) -> DirectedProductGraph:
     """The graph plus one new node n = g.num_nodes, without a rebuild.
 
-    The new node gets co-view pairs with `cv_nbrs` and co-purchase edges
-    n -> w for w in `cp_targets`. Every array equals what `build_graph`
-    gives for the extended pair lists; arrays that do not change are
-    shared with `g` as read-only views, and `g` itself is untouched.
+    The new node gets co-view pairs with `cv_nbrs` and no co-purchase
+    edges. Every array equals what `build_graph` gives for the extended
+    pair lists; the co-purchase indices are shared with `g` as read-only
+    views, and `g` itself is untouched.
     """
     n = g.num_nodes
-    cv_w = np.unique(np.asarray(cv_nbrs, dtype=np.int64))
-    cp_w = np.unique(np.asarray(cp_targets, dtype=np.int64))
-    for w, name in ((cv_w, "co-view"), (cp_w, "co-purchase")):
-        if len(w) and (w[0] < 0 or w[-1] >= n):
-            raise DataFormatError(
-                f"{name} neighbor id outside [0, {n})")
-    cp_edges = _read_only(g.cp_edges)
-    if len(cp_w):
-        cp_edges = np.concatenate(
-            [g.cp_edges, np.stack([np.full(len(cp_w), n), cp_w], axis=1)])
-    cv_pairs = _read_only(g.cv_pairs)
-    if len(cv_w):
-        at = np.searchsorted(g.cv_pairs[:, 0], cv_w, side="right")
-        cv_pairs = np.insert(g.cv_pairs, at,
-                             np.stack([cv_w, np.full(len(cv_w), n)], axis=1),
-                             axis=0)
-    empty = np.empty(0, dtype=np.int64)
-    return DirectedProductGraph(
-        num_nodes=n + 1,
-        cp_out=_splice(g.cp_out, empty, cp_w),
-        cp_in=_splice(g.cp_in, cp_w, empty),
-        cv_out=_splice(g.cv_out, cv_w, cv_w),
-        cp_edges=cp_edges,
-        cv_pairs=cv_pairs,
-    )
+    w = np.unique(np.asarray(cv_nbrs, dtype=np.int64))
+    if len(w) and (w[0] < 0 or w[-1] >= n):
+        raise DataFormatError(f"co-view neighbor id outside [0, {n})")
+    none = np.empty(0, dtype=np.int64)
+    return DirectedProductGraph(num_nodes=n + 1,
+                                cp_out=_splice(g.cp_out, none),
+                                cp_in=_splice(g.cp_in, none),
+                                cv_out=_splice(g.cv_out, w))
 
 
 def has_cp_edges(g: DirectedProductGraph, u, v) -> np.ndarray:

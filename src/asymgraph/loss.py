@@ -56,12 +56,6 @@ class LossBatch:
         if len(self.one_way) != m:
             raise ValueError("one_way flags must align with cp_edges")
 
-    @classmethod
-    def empty(cls) -> "LossBatch":
-        z = np.empty((0, 2), dtype=np.int64)
-        return cls(z, np.empty(0, dtype=bool), z.copy(),
-                   np.empty((0, 1), dtype=np.int64))
-
 
 @dataclass
 class LossValue:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DirectedProductGraph, KeyMap
+from .graph import DirectedProductGraph
 from .model import DualEmbeddings
 
 FILTERS = ("none", "exclude_query", "exclude_train_neighbors")
@@ -28,7 +28,6 @@ SCORE_BLOCK_BYTES = 1 << 20
 class EmbeddingIndex:
     theta_s: np.ndarray
     theta_t: np.ndarray
-    key_map: KeyMap | None = None
     graph: DirectedProductGraph | None = None
 
     @property
@@ -36,10 +35,9 @@ class EmbeddingIndex:
         return self.theta_t.shape[0]
 
     @classmethod
-    def build(cls, emb: DualEmbeddings, key_map: KeyMap | None = None,
+    def build(cls, emb: DualEmbeddings,
               graph: DirectedProductGraph | None = None) -> "EmbeddingIndex":
-        return cls(theta_s=emb.theta_s, theta_t=emb.theta_t,
-                   key_map=key_map, graph=graph)
+        return cls(theta_s=emb.theta_s, theta_t=emb.theta_t, graph=graph)
 
     def _check_query(self, q: int) -> None:
         if not 0 <= q < self.num_products:

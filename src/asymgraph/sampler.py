@@ -161,14 +161,13 @@ def full_blocks(g: DirectedProductGraph, seeds, num_layers: int) -> ComputationB
 
 
 def sample_negatives(g: DirectedProductGraph, pos_edges, n_k: int,
-                     rng_seed: int = 0,
-                     exclude_positives: bool = True) -> np.ndarray:
+                     rng_seed: int = 0) -> np.ndarray:
     """Uniform negatives per positive co-purchase edge.
 
     For each positive (u, v) draws n_k distinct ids z uniformly from the
-    catalog, rejecting u itself and, by default, u's known co-purchase
-    out-neighbors. If fewer legal ids than n_k exist the draw falls back
-    to sampling with replacement and warns.
+    catalog, rejecting u itself and u's known co-purchase out-neighbors.
+    If fewer legal ids than n_k exist the draw falls back to sampling with
+    replacement and warns.
 
     Rows are drawn together: each pending row gets a block of uniform ids,
     illegal ids and repeats within the row are rejected, and a row with
@@ -184,14 +183,10 @@ def sample_negatives(g: DirectedProductGraph, pos_edges, n_k: int,
     out = np.empty((len(pos), n_k), dtype=np.int64)
     u_all = pos[:, 0]
     out_deg = g.cp_out.indptr[u_all + 1] - g.cp_out.indptr[u_all]
-    short = n - 1 - out_deg * bool(exclude_positives) < n_k
+    short = n - 1 - out_deg < n_k
     for i in np.flatnonzero(short):
         u = u_all[i]
-        if exclude_positives:
-            excl = np.concatenate([[u], g.cp_out.neighbors(u)])
-        else:
-            excl = np.asarray([u])
-        excl = np.unique(excl)
+        excl = np.unique(np.concatenate([[u], g.cp_out.neighbors(u)]))
         legal = n - len(excl)
         warnings.warn(
             f"node {u}: only {legal} legal negatives for n_k={n_k}; "
@@ -211,9 +206,7 @@ def sample_negatives(g: DirectedProductGraph, pos_edges, n_k: int,
     while len(pending):
         u = u_all[pending, None]
         draws = rng.integers(0, n, size=(len(pending), width))
-        ok = draws != u
-        if exclude_positives:
-            ok &= ~has_cp_edges(g, u, draws)
+        ok = (draws != u) & ~has_cp_edges(g, u, draws)
         # a stable sort puts each id's first column first among its copies
         order = np.argsort(draws, axis=1, kind="stable")
         srt = np.take_along_axis(draws, order, axis=1)

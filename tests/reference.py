@@ -156,20 +156,16 @@ def loop_sample_rows(adj, nodes, cap, rng):
     return ptr, flat.astype(np.int64)
 
 
-def loop_sample_negatives(g, pos_edges, n_k, rng_seed=0,
-                          exclude_positives=True):
-    """Per-edge rejection loop: distinct uniform ids other than u and,
-    by default, u's co-purchase out-neighbors; with replacement from
-    whatever is allowed when fewer than n_k legal ids exist."""
+def loop_sample_negatives(g, pos_edges, n_k, rng_seed=0):
+    """Per-edge rejection loop: distinct uniform ids other than u and
+    u's co-purchase out-neighbors; with replacement from whatever is
+    allowed when fewer than n_k legal ids exist."""
     pos = np.asarray(pos_edges, dtype=np.int64).reshape(-1, 2)
     rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed)]))
     n = g.num_nodes
     out = np.empty((len(pos), n_k), dtype=np.int64)
     for i, (u, _v) in enumerate(pos):
-        excl = {int(u)}
-        if exclude_positives:
-            excl |= set(int(z) for z in
-                        g.cp_out.indices[g.cp_out.indptr[u]:g.cp_out.indptr[u + 1]])
+        excl = {int(u)} | set(int(z) for z in g.cp_out.neighbors(u))
         allowed = [z for z in range(n) if z not in excl]
         if len(allowed) < n_k:
             if not allowed:
@@ -247,7 +243,7 @@ def loop_selection_bias_split(g, ratios, seed):
     for a, b in base.train_edges:
         for c in g.cv_out.neighbors(b):
             c = int(c)
-            if c == a or g.has_cp_edge(int(a), c):
+            if c == a or c in g.cp_out.neighbors(a):
                 continue
             seen.add((int(a), c))
     synth = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
@@ -287,16 +283,11 @@ def rebuild_attach_and_embed(g, features, params, req, eligible=None):
     warm = lexsort_warm_neighbors(features, req.features, req.k_sim, eligible)
     cold = g.num_nodes
     extra = np.stack([np.full(len(warm), cold, dtype=np.int64), warm], axis=1)
-    if req.relation == "cv":
-        arrays = sort_build_graph(g.cp_edges,
-                                  np.concatenate([g.cv_pairs, extra]), cold + 1)
-    else:
-        arrays = sort_build_graph(np.concatenate([g.cp_edges, extra]),
-                                  g.cv_pairs, cold + 1)
+    arrays = sort_build_graph(g.cp_edges, np.concatenate([g.cv_pairs, extra]),
+                              cold + 1)
     adj = {name: Adjacency(arrays[name + "_indptr"], arrays[name + "_indices"])
            for name in ("cp_out", "cp_in", "cv_out")}
-    overlay = DirectedProductGraph(num_nodes=cold + 1, cp_edges=arrays["cp_edges"],
-                                   cv_pairs=arrays["cv_pairs"], **adj)
+    overlay = DirectedProductGraph(num_nodes=cold + 1, **adj)
     blocks = full_blocks(overlay, [cold], params.num_layers)
     emb, _ = forward(blocks, np.vstack([features, req.features[None, :]]),
                      params)
@@ -336,7 +327,7 @@ def loop_sample_non_edges(g, count, seed=0):
         guard += 1
         if guard > 1000 * max(count, 1):
             raise ValueError("graph too dense to sample non-edges")
-        if u == v or g.has_cp_edge(u, v):
+        if u == v or v in g.cp_out.neighbors(u):
             continue
         out.append((u, v))
     return np.asarray(out, dtype=np.int64)

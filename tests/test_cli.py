@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reference as ref
 from asymgraph import cli, trainer
+from asymgraph.graph import KeyMap, dump_feature_file
 
 PKG_ROOT = Path(__file__).parent.parent
 
@@ -145,6 +147,35 @@ def test_recommend_unknown_key_exits_two(workspace, trained, tmp_path):
                    "--query", "nonexistent-product")
     assert proc.returncode == 2
     assert "unknown" in proc.stderr.lower()
+
+
+def test_recommend_key_file_keeps_spaces_in_keys(tmp_path):
+    """A key file's lines lose only their line break, so a key with a
+    trailing space answers from a file as it does from --query."""
+    km = KeyMap(["a ", "b", "c"])
+    dump_feature_file(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), km,
+                      tmp_path / "features.tsv")
+    (tmp_path / "edges.tsv").write_text("a \tb\tcp\nb\tc\tcp\nc\ta \tcp\n")
+    (tmp_path / "train.cfg").write_text(
+        "batch_size = 4\nnum_layers = 1\nembed_dim = 4\nfanouts = 5\n"
+        "num_negatives = 1\n")
+    assert cli.main(["train", "--graph", str(tmp_path / "edges.tsv"),
+                     "--features", str(tmp_path / "features.tsv"),
+                     "--config", str(tmp_path / "train.cfg"),
+                     "--out", str(tmp_path / "model"), "--epochs", "1"]) == 0
+    assert cli.main(["embed", "--model", str(tmp_path / "model"),
+                     "--graph", str(tmp_path / "edges.tsv"),
+                     "--features", str(tmp_path / "features.tsv"),
+                     "--out", str(tmp_path / "index")]) == 0
+    (tmp_path / "keys.txt").write_bytes(b"a \r\n\n")
+    recs = {}
+    for name, query in (("arg", "a "), ("file", str(tmp_path / "keys.txt"))):
+        assert cli.main(["recommend", "--index", str(tmp_path / "index"),
+                         "--query", query, "--k", "2",
+                         "--out", str(tmp_path / f"{name}.tsv")]) == 0
+        recs[name] = (tmp_path / f"{name}.tsv").read_text().splitlines()
+    assert len(recs["arg"]) == 2 and recs["file"] == recs["arg"]
+    assert all(line.startswith("a \t") for line in recs["file"])
 
 
 def test_recommend_malformed_embeddings_exits_two(workspace, trained, tmp_path):

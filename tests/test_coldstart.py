@@ -59,8 +59,7 @@ def test_find_warm_neighbors_ties_by_id():
                                eligible=np.array([], dtype=np.int64)).size == 0
 
 
-@pytest.mark.parametrize("relation", ["cv", "cp"])
-def test_attach_and_embed_matches_rebuild_oracle(mini_corpus, relation):
+def test_attach_and_embed_matches_rebuild_oracle(mini_corpus):
     _cfg, data, g = mini_corpus
     X = data.features
     rng = np.random.default_rng(11)
@@ -68,7 +67,7 @@ def test_attach_and_embed_matches_rebuild_oracle(mini_corpus, relation):
     eligible = np.arange(0, g.num_nodes, 2)
     for i, node in enumerate((0, 17, 42, 77, 101)):
         req = ColdStartRequest(key="c", features=X[node] + rng.normal(size=X.shape[1]),
-                               k_sim=1 + i, relation=relation)
+                               k_sim=1 + i)
         for elig in (None, eligible):
             got = attach_and_embed(g, X, params, req, eligible=elig)
             want = rebuild_attach_and_embed(g, X, params, req, eligible=elig)
@@ -83,8 +82,6 @@ def test_request_validation():
         ColdStartRequest(key="c", features=np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         ColdStartRequest(key="c", features=np.ones(4), k_sim=0)
-    with pytest.raises(ValueError):
-        ColdStartRequest(key="c", features=np.ones(4), relation="wat")
 
 
 def test_dimension_mismatch_rejected():
@@ -147,19 +144,6 @@ def test_attach_deterministic(random_graph):
     b = attach_and_embed(g, X, params, req)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     assert np.array_equal(a[2], b[2])
-
-
-def test_cp_relation_ablation(random_graph):
-    g, X = random_graph(num_nodes=12, seed=7)
-    params = ModelParams.init(5, 4, 2, np.random.default_rng(5))
-    cv_req = ColdStartRequest(key="c", features=X[1] + 0.05, k_sim=2,
-                              relation="cv")
-    cp_req = ColdStartRequest(key="c", features=X[1] + 0.05, k_sim=2,
-                              relation="cp")
-    s_cv, _, _ = attach_and_embed(g, X, params, cv_req)
-    s_cp, _, _ = attach_and_embed(g, X, params, cp_req)
-    # different relation types route through different channels
-    assert not np.allclose(s_cv, s_cp)
 
 
 def test_recommend_for_cold_contract(random_graph):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from asymgraph.errors import DataFormatError
+from asymgraph.evaluation import make_edge_split, train_graph
 from asymgraph.formats import HEADER, load_config, save_config
 from asymgraph.graph import (KeyMap, build_graph, dump_edge_file,
                              dump_feature_file, load_edge_file,
@@ -192,6 +193,17 @@ def test_equal_configs_digest_alike(random_graph):
         run_digest(TrainConfig(max_epochs=9), g, X)
     assert run_digest(TrainConfig(), g, X) != \
         run_digest(TrainConfig(patience=6), g, X)
+
+
+def test_run_digest_is_pinned(mini_corpus):
+    """The digest hashes the graph's edge lists, so it must not move when
+    their stored form does: training states written by earlier versions
+    still pass `--resume`."""
+    _cfg, data, g = mini_corpus
+    g_train = train_graph(g, make_edge_split(g, seed=0))
+    assert g.num_nodes == 120
+    assert run_digest(TrainConfig(), g_train, data.features).hex() == \
+        "9c42e8b2c7ae78f75f12298f6fec3ebfface3bd67f61ecc6bd88d86b9c6dcc46"
 
 
 # --- text rows: features and embeddings ---------------------------------

@@ -58,10 +58,13 @@ def test_reciprocal_edge_scalar_oracle():
 
 def test_empty_batch_is_zero():
     emb = make_emb(np.zeros((2, 2)), np.zeros((2, 2)))
-    value = asymmetric_loss(emb, LossBatch.empty())
+    none = np.empty((0, 2), dtype=np.int64)
+    batch = LossBatch(none, np.empty(0, dtype=bool), none,
+                      np.empty((0, 1), dtype=np.int64))
+    value = asymmetric_loss(emb, batch)
     assert value.total == 0.0
     assert np.array_equal(value.terms, np.zeros(6))
-    _, gs, gt = loss_grad(emb, LossBatch.empty())
+    _, gs, gt = loss_grad(emb, batch)
     assert np.array_equal(gs, np.zeros((2, 2)))
     assert np.array_equal(gt, np.zeros((2, 2)))
 
