@@ -214,12 +214,12 @@ def cmd_recommend(args) -> int:
         cp, cv, _ = load_edge_file(graph_path, key_map=km)
         graph = build_graph(cp, cv, len(km))
     index = retrieval.EmbeddingIndex.build(emb, graph=graph)
-    if Path(args.query).exists():
+    if args.query in km or not Path(args.query).exists():
+        keys = [args.query]
+    else:
         # a key keeps its spaces: only the line break (`\n` or `\r\n`)
         # goes, and empty lines are skipped
         keys = [s for _, s in formats.text_lines(args.query) if s]
-    else:
-        keys = [args.query]
     unknown = [k for k in keys if k not in km]
     if unknown:
         raise DataFormatError(f"unknown product keys: {unknown[:5]}")

@@ -85,7 +85,7 @@ def attach_and_embed(g: DirectedProductGraph, features: np.ndarray,
 def recommend_for_cold(theta_s_cold: np.ndarray,
                        index: retrieval.EmbeddingIndex, k: int,
                        exclude=None) -> list[tuple[int, float]]:
-    """Rank warm products for a cold query vector; same contract as
+    """Rank warm products for a cold query vector, as a 1-row block of
     related-product retrieval, with an optional id exclusion list."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -93,8 +93,6 @@ def recommend_for_cold(theta_s_cold: np.ndarray,
         warnings.warn("cold product has a zero embedding; returning no results",
                       stacklevel=2)
         return []
-    scores = index.theta_t @ theta_s_cold
-    excl = np.empty(0, dtype=np.int64) if exclude is None \
-        else np.asarray(exclude, dtype=np.int64)
-    return retrieval.top_k_by_score(scores[None, :], k, np.zeros_like(excl),
-                                    excl)[0]
+    excl = np.asarray([] if exclude is None else exclude, dtype=np.int64)
+    return retrieval.rank_vectors(index, theta_s_cold[None, :], k,
+                                  np.zeros_like(excl), excl)[0]

@@ -1,16 +1,22 @@
 """Top-k retrieval over trained embeddings.
 
 Related-product queries score source(q) . target(v); similar-product
-queries score source(q) . source(v). Every ranking goes through one exact
-engine, `top_k_by_score`: brute-force scores for a block of queries, then
-a partial selection of each row's best k. Ties break by ascending id so
-results are deterministic.
+queries score source(q) . source(v). A returned score is canonical
+(`canonical_scores`): one pairwise row sum, whose bits do not depend on
+how many rows are scored. `rank_vectors` scores a block of queries with
+one GEMM, keeps in each row the ids within delta = 4 gamma_d |q| max|t|
+(|q| the block's largest, gamma_d = d u / (1 - d u), u = 2^-53) of its
+k-th GEMM score, and cuts them to the best k canonical scores, ties by id.
+Both scores lie within gamma_d |q| |t| of the exact dot, so no canonical
+top-k id is lost.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +40,12 @@ class EmbeddingIndex:
     def num_products(self) -> int:
         return self.theta_t.shape[0]
 
+    @cached_property
+    def max_norms(self) -> tuple[float, float]:
+        """Largest row norm of theta_s and of theta_t (index by `related`)."""
+        return tuple(float(np.linalg.norm(m, axis=1).max(initial=0.0))
+                     for m in (self.theta_s, self.theta_t))
+
     @classmethod
     def build(cls, emb: DualEmbeddings,
               graph: DirectedProductGraph | None = None) -> "EmbeddingIndex":
@@ -44,35 +56,53 @@ class EmbeddingIndex:
             raise KeyError(f"unknown product id {q}")
 
 
-def top_k_by_score(scores: np.ndarray, k: int, exclude_rows: np.ndarray,
-                   exclude_ids: np.ndarray) -> list[list[tuple[int, float]]]:
-    """Best k of each row of a (queries, catalogue) score block, by
-    descending score, ties by ascending id.
+def canonical_scores(target: np.ndarray, ids, vecs) -> np.ndarray:
+    """Score of each (vecs[j], target[ids[j]]) pair."""
+    return np.add.reduce(target.take(ids, axis=0) * vecs, axis=1)
 
-    The block is overwritten: entry (exclude_rows[j], exclude_ids[j]) is
-    set to -inf, and -inf entries are never returned. NaN scores rank
-    after every number. Only entries at or above a row's k-th score (found
-    by one partition of the block) are sorted.
+
+def top_k_by_score(scores: np.ndarray, k: int, exclude_rows: np.ndarray,
+                   exclude_ids: np.ndarray, delta=0.0,
+                   rescore=None) -> list[list[tuple[int, float]]]:
+    """Best k of each row of a (queries, catalogue) score block, by
+    descending score (or `rescore(rows, ids)`), ties by ascending id. Only
+    entries at least a row's k-th score (one partition) minus `delta` are
+    sorted. The block is overwritten: entry (exclude_rows[j],
+    exclude_ids[j]) is set to -inf; -inf is never returned, NaN ranks last.
     """
     b, n = scores.shape
     k = min(k, n)
     if k < 1:
         return [[] for _ in range(b)]
     scores[exclude_rows, exclude_ids] = -np.inf
-    kth = np.partition(scores, n - k, axis=1)[:, n - k, None]
+    kth = np.partition(scores, n - k, axis=1)[:, n - k] - delta
     # `~(<)` keeps NaN, which np.partition places above every number
-    rows, ids = np.nonzero(~(scores < kth))
-    vals = scores[rows, ids]
-    live = vals != -np.inf
+    rows, ids = np.nonzero(~(scores < kth[:, None]))
+    vals = scores[rows, ids] if rescore is None else rescore(rows, ids)
+    live = (scores[rows, ids] != -np.inf) & (vals != -np.inf)
     rows, ids, vals = rows[live], ids[live], vals[live]
+    # rows stay sorted, as np.nonzero gives them; the sort orders each row
     order = np.lexsort((ids, -vals, rows))
-    rows, ids, vals = rows[order], ids[order], vals[order]
-    counts = np.bincount(rows, minlength=b)
-    rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    keep = rank < k
-    ids, vals = ids[keep].tolist(), vals[keep].tolist()
-    ends = np.cumsum(np.minimum(counts, k)).tolist()
-    return [list(zip(ids[s:e], vals[s:e])) for s, e in zip([0] + ends, ends)]
+    ids, vals = ids[order].tolist(), vals[order].tolist()
+    starts = np.searchsorted(rows, np.arange(b + 1)).tolist()
+    return [list(zip(ids[s:min(s + k, e)], vals[s:min(s + k, e)]))
+            for s, e in zip(starts, starts[1:])]
+
+
+def rank_vectors(index: EmbeddingIndex, vecs: np.ndarray, k: int,
+                 exclude_rows: np.ndarray, exclude_ids: np.ndarray,
+                 related: bool = True) -> list[list[tuple[int, float]]]:
+    """Best k (id, canonical score) of each query vector in a block."""
+    target = index.theta_t if related else index.theta_s
+    d, u, tiny = target.shape[1], 2.0 ** -53, 2.0 ** -511
+    # delta at the block's largest |q|, doubled to round it up: norms, delta
+    # and K - delta round by about u |q| max|t|; d tiny etc. cover underflow.
+    delta = 8 * d * u / (1 - d * u) * (index.max_norms[related] + d * tiny) \
+        * (math.sqrt((vecs * vecs).sum(axis=1).max(initial=0.0)) + d * tiny) \
+        + 4 * d * 2.0 ** -1074
+    return top_k_by_score(
+        vecs @ target.T, k, exclude_rows, exclude_ids, delta,
+        lambda rows, ids: canonical_scores(target, ids, vecs.take(rows, 0)))
 
 
 def _exclusions(index: EmbeddingIndex, qs: np.ndarray,
@@ -94,41 +124,33 @@ def _exclusions(index: EmbeddingIndex, qs: np.ndarray,
 
 
 def _rank(index: EmbeddingIndex, qs: np.ndarray, k: int, filter: str,
-          target: np.ndarray) -> list[list[tuple[int, float]]]:
+          related: bool) -> list[list[tuple[int, float]]]:
     """Rankings for a block of known query ids."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    exclude_rows, exclude_ids = _exclusions(index, qs, filter)
-    scores = np.empty((len(qs), index.num_products))
-    for i, q in enumerate(qs):
-        # one GEMV per query: a block GEMM rounds differently, and a
-        # query's scores must not depend on its block
-        scores[i] = target @ index.theta_s[q]
-    results = top_k_by_score(scores, k, exclude_rows, exclude_ids)
-    for i in np.flatnonzero(~index.theta_s[qs].any(axis=1)):
+    vecs = index.theta_s[qs]
+    results = rank_vectors(index, vecs, k, *_exclusions(index, qs, filter),
+                           related)
+    for i in np.flatnonzero(~vecs.any(axis=1)):
         warnings.warn(f"query {qs[i]} has a zero embedding; returning no "
                       "results", stacklevel=3)
         results[i] = []
     return results
 
 
-def _recommend(index: EmbeddingIndex, q: int, k: int, filter: str,
-               target: np.ndarray) -> list[tuple[int, float]]:
-    index._check_query(q)
-    return _rank(index, np.array([q], dtype=np.int64), k, filter, target)[0]
-
-
 def recommend_related(index: EmbeddingIndex, q: int, k: int,
                       filter: str = "none") -> list[tuple[int, float]]:
     """Top-k related products for query q by source(q) . target(v)."""
-    return _recommend(index, q, k, filter, index.theta_t)
+    index._check_query(q)
+    return _rank(index, np.array([q]), k, filter, True)[0]
 
 
 def recommend_similar(index: EmbeddingIndex, q: int, k: int,
                       filter: str = "exclude_query") -> list[tuple[int, float]]:
     """Top-k similar products by source(q) . source(v); the query itself
     is excluded by default since a unit vector is its own argmax."""
-    return _recommend(index, q, k, filter, index.theta_s)
+    index._check_query(q)
+    return _rank(index, np.array([q]), k, filter, False)[0]
 
 
 @dataclass
@@ -143,7 +165,7 @@ def batch_recommend(index: EmbeddingIndex, queries, k: int,
                     mode: str = "related") -> list[BatchEntry]:
     """Per-query recommendations, ranked in blocks of SCORE_BLOCK_BYTES;
     unknown ids become per-query error entries while the rest proceed."""
-    target = index.theta_t if mode == "related" else index.theta_s
+    related = mode == "related"
     entries = [BatchEntry(query=int(q)) for q in queries]
     known = []
     for e in entries:
@@ -156,6 +178,6 @@ def batch_recommend(index: EmbeddingIndex, queries, k: int,
     for start in range(0, len(known), step):
         block = known[start:start + step]
         qs = np.array([e.query for e in block], dtype=np.int64)
-        for e, res in zip(block, _rank(index, qs, k, filter, target)):
+        for e, res in zip(block, _rank(index, qs, k, filter, related)):
             e.results = res
     return entries

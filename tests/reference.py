@@ -8,6 +8,7 @@ no code with the package's vectorized paths.
 import dataclasses
 import math
 import struct
+import warnings
 from collections import defaultdict
 
 import numpy as np
@@ -111,6 +112,28 @@ def lexsort_top_k(scores, k, exclude):
         if len(out) == min(k, n):
             break
     return out
+
+
+def gemv_rank(index, qs, k, filter, target):
+    """Rankings for a block of known query ids, one GEMV per query: the
+    package's ranking before it picked candidates by block GEMM and
+    returned canonical scores."""
+    from asymgraph.retrieval import _exclusions, top_k_by_score
+
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    exclude_rows, exclude_ids = _exclusions(index, qs, filter)
+    scores = np.empty((len(qs), index.num_products))
+    for i, q in enumerate(qs):
+        # one GEMV per query: a block GEMM rounds differently, and a
+        # query's scores must not depend on its block
+        scores[i] = target @ index.theta_s[q]
+    results = top_k_by_score(scores, k, exclude_rows, exclude_ids)
+    for i in np.flatnonzero(~index.theta_s[qs].any(axis=1)):
+        warnings.warn(f"query {qs[i]} has a zero embedding; returning no "
+                      "results", stacklevel=3)
+        results[i] = []
+    return results
 
 
 def brute_hitrate_mrr(rankings, test_edges, k):

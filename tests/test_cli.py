@@ -178,6 +178,25 @@ def test_recommend_key_file_keeps_spaces_in_keys(tmp_path):
     assert all(line.startswith("a \t") for line in recs["file"])
 
 
+def test_recommend_query_key_beats_file_of_that_name(
+        workspace, trained, tmp_path, monkeypatch, capsys):
+    """A --query value that is a key of the index is a key, even when the
+    working directory holds a file of that name."""
+    _root, out = workspace
+    assert cli.main(["embed", "--model", str(trained),
+                     "--graph", str(trained / "graph.tsv"),
+                     "--features", str(out / "features.tsv"),
+                     "--out", str(tmp_path / "index")]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c00m000").touch()
+    assert cli.main(["recommend", "--index", str(tmp_path / "index"),
+                     "--query", "c00m000", "--k", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("c00m000\t") for line in lines)
+
+
 def test_recommend_malformed_embeddings_exits_two(workspace, trained, tmp_path):
     _root, out = workspace
     emb_dir = tmp_path / "emb3"

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -11,9 +11,9 @@ from asymgraph import retrieval
 from asymgraph.graph import build_graph
 from asymgraph.model import DualEmbeddings
 from asymgraph.retrieval import (EmbeddingIndex, batch_recommend,
-                                 recommend_related, recommend_similar,
-                                 top_k_by_score)
-from reference import brute_top_k, lexsort_top_k
+                                 canonical_scores, recommend_related,
+                                 recommend_similar, top_k_by_score)
+from reference import brute_top_k, gemv_rank, lexsort_top_k
 
 
 def make_index(theta_s, theta_t, **kw):
@@ -133,9 +133,10 @@ def test_exact_matches_brute_force_with_ties():
     theta_t = np.round(rng.normal(size=(200, 4)), 1)
     theta_t = np.concatenate([theta_t, theta_t[:50]])  # exact duplicates
     index = make_index(np.vstack([theta_s, np.zeros((250 - 40, 4))]), theta_t)
+    every = np.arange(len(theta_t))
     for q in range(40):
         got = recommend_related(index, q, 10)
-        want = brute_top_k(index.theta_t @ index.theta_s[q], 10)
+        want = brute_top_k(canonical_scores(theta_t, every, theta_s[q]), 10)
         assert [i for i, _ in got] == [i for i, _ in want]
 
 
@@ -191,8 +192,9 @@ def _oracle_ranking(index, q, k, filter, mode):
     exclude = {"none": [], "exclude_query": [q],
                "exclude_train_neighbors":
                    [q] + index.graph.cp_out.neighbors(q).tolist()}[filter]
-    return lexsort_top_k(target @ index.theta_s[q], k,
-                         np.array(exclude, dtype=np.int64))
+    scores = canonical_scores(target, np.arange(len(target)),
+                              index.theta_s[q])
+    return lexsort_top_k(scores, k, np.array(exclude, dtype=np.int64))
 
 
 @given(ranking_cases())
@@ -216,3 +218,71 @@ def test_batch_matches_oracle_for_every_block_size(case):
         assert [e.results for e in entries if e.error is None] == want
         zero = sum(not np.any(theta_s[q]) for q in known)
         assert sum("zero embedding" in str(w.message) for w in caught) == zero
+
+
+def _bits(rankings):
+    return [[(i, np.float64(s).view(np.int64)) for i, s in r]
+            for r in rankings]
+
+
+@st.composite
+def near_tie_matrices(draw, n, d):
+    """Unquantised rows: the first m are drawn, and each of the others
+    repeats one of them or moves it by one ulp (`np.nextafter`), so scores
+    nearly tie."""
+    m = draw(st.integers(1, max(1, n // 2)))
+    mat = np.empty((n, d))
+    mat[:m] = draw(hnp.arrays(np.float64, (m, d), elements=st.floats(-2, 2)))
+    for j in range(m, n):
+        row = mat[draw(st.integers(0, m - 1))]
+        step = draw(st.sampled_from([0, -np.inf, np.inf]))
+        mat[j] = row if step == 0 else np.nextafter(row, step)
+    return mat
+
+
+@st.composite
+def near_tie_cases(draw):
+    n = draw(st.integers(1, 30))
+    d = draw(st.sampled_from([1, 2, 3, 8, 9, 64]))
+    theta_s = draw(near_tie_matrices(n, d))
+    # scaled query norms
+    theta_s *= 2.0 ** draw(hnp.arrays(np.float64, (n, 1),
+                                      elements=st.integers(-30, 30)))
+    theta_t = draw(near_tie_matrices(n, d))
+    cp = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                       max_size=2 * n))
+    queries = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=10))
+    return (theta_s, theta_t, build_graph(cp, [], n), queries,
+            draw(st.integers(1, n + 2)), draw(st.sampled_from(retrieval.FILTERS)),
+            draw(st.sampled_from(["related", "similar"])))
+
+
+@settings(max_examples=300)
+@given(near_tie_cases())
+def test_near_ties_match_canonical_brute_force(case):
+    """On unquantised near-ties, every block size gives the bits of a
+    canonical scoring of the whole catalogue; the ids are the per-query
+    GEMV ranking's wherever the GEMV scores of its top k + 1 are more than
+    delta apart, delta = 4 gamma_d |q| max|t|."""
+    theta_s, theta_t, g, queries, k, filter, mode = case
+    index = make_index(theta_s, theta_t, graph=g)
+    target = theta_t if mode == "related" else theta_s
+    n, d = target.shape
+    want = [_oracle_ranking(index, q, k, filter, mode) for q in queries]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for budget in (1, 3 * 8 * n, retrieval.SCORE_BLOCK_BYTES):
+            with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", budget):
+                got = [e.results for e in batch_recommend(
+                    index, queries, k, filter=filter, mode=mode)]
+            assert _bits(got) == _bits(want)
+        gemv = gemv_rank(index, np.array(queries), k + 1, filter, target)
+    u, tiny = np.finfo(np.float64).eps / 2, d * 2.0 ** -511
+    gamma = d * u / (1 - d * u)
+    # a norm loses less than `tiny` to squares that underflow
+    max_norm = np.linalg.norm(target, axis=1).max() + tiny
+    for q, ranked, top in zip(queries, want, gemv):
+        delta = 4 * gamma * (np.linalg.norm(theta_s[q]) + tiny) * max_norm \
+            + 4 * d * 2.0 ** -1074
+        if np.all(-np.diff([s for _, s in top]) > delta):
+            assert [i for i, _ in ranked] == [i for i, _ in top[:k]]
