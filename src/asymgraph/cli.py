@@ -19,8 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, evaluation, formats, retrieval, synth, trainer
 from .coldstart import ColdStartRequest, attach_and_embed, recommend_for_cold
 from .errors import DataFormatError, NumericalError
@@ -122,18 +120,6 @@ def cmd_build_graph(args) -> int:
     return EXIT_OK
 
 
-def _resolve_split(g, kind: str, split_seed: int):
-    if kind == "none":
-        return None
-    if kind == "edge":
-        return evaluation.make_edge_split(g, seed=split_seed)
-    if kind == "node":
-        return evaluation.make_node_split(g, seed=split_seed)
-    if kind == "selection-bias":
-        return evaluation.make_selection_bias_split(g, seed=split_seed)
-    raise DataFormatError(f"unknown split kind {kind!r}")
-
-
 def cmd_train(args) -> int:
     cfg = formats.load_config(args.config, trainer.TrainConfig) if args.config \
         else trainer.TrainConfig()
@@ -142,20 +128,15 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         cfg = dataclasses.replace(cfg, max_epochs=args.epochs)
     g, features, km = _load_graph(args.graph, args.features)
-    split_seed = args.split_seed if args.split_seed is not None else cfg.root_seed
-    split = _resolve_split(g, args.split, split_seed)
-    g_train = g if split is None else evaluation.train_graph(
-        g, split, use_coview=not args.no_coview)
-    if args.no_coview and split is None:
-        g_train = build_graph(g.cp_edges, np.empty((0, 2), dtype=np.int64),
-                              g.num_nodes)
+    split = evaluation.make_split(args.split, g, seed=args.split_seed)
+    g_train = evaluation.train_graph(g, split, use_coview=not args.no_coview)
     state = None
     if args.resume:  # refuse a mismatched state before writing anything
         state = trainer.resume(args.resume)
         trainer.check_resumable(state, cfg, g_train, features)
     out = Path(args.out)
     write_manifest(out, "train", dataclasses.asdict(cfg),
-                   {"root_seed": cfg.root_seed, "split_seed": split_seed,
+                   {"root_seed": cfg.root_seed, "split_seed": args.split_seed,
                     "split": args.split},
                    {"graph": args.graph, "features": args.features,
                     "config": args.config})
@@ -228,9 +209,6 @@ def cmd_recommend(args) -> int:
                                         filter=args.filter, mode=args.mode)
     with _output(args.out) as out:
         for key, entry in zip(keys, entries):
-            if entry.error:
-                log.error("query %s failed: %s", key, entry.error)
-                continue
             _emit_recommendations(out, key, entry.results, km)
     return EXIT_OK
 
@@ -314,9 +292,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help="root seed override")
     p.add_argument("--epochs", type=int, default=None, help="max epoch override")
-    p.add_argument("--split", choices=["none", "edge", "node", "selection-bias"],
-                   default="edge")
-    p.add_argument("--split-seed", type=int, default=None)
+    p.add_argument("--split", choices=list(evaluation.SPLITS), default="edge")
+    p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--no-coview", action="store_true",
                    help="train on co-purchase edges only")
     p.add_argument("--resume", help="training-state file to continue from")

@@ -37,6 +37,13 @@ class ColdStartRequest:
             raise ValueError("cold-start feature vector is all zeros")
 
 
+def _pow2_scaled(a: np.ndarray) -> np.ndarray:
+    """Each row of `a` times the power of two that puts its largest
+    magnitude in [0.5, 1); zero and non-finite rows stay as they are."""
+    _, e = np.frexp(np.abs(a).max(axis=-1, keepdims=True))
+    return np.ldexp(a, -e)
+
+
 def find_warm_neighbors(features: np.ndarray, vec: np.ndarray, k_sim: int,
                         eligible: np.ndarray | None = None) -> np.ndarray:
     """Top warm products by cosine similarity of input features, ties by id.
@@ -47,9 +54,18 @@ def find_warm_neighbors(features: np.ndarray, vec: np.ndarray, k_sim: int,
     if vec.shape[0] != features.shape[1]:
         raise ValueError(
             f"feature dim mismatch: cold {vec.shape[0]}, warm {features.shape[1]}")
-    norms = np.linalg.norm(features, axis=1)
+    # a norm outside [2^-500, 2^500] may come out 0, inexact or inf, as its
+    # squares underflow or overflow; scaling by a power of two is exact and
+    # keeps the cosines, so the cold vector and any such row are scaled
+    vec = _pow2_scaled(vec)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(features, axis=1)
+    dots = features @ vec
+    odd = np.flatnonzero(~((norms >= 2.0 ** -500) & (norms <= 2.0 ** 500)))
+    rows = _pow2_scaled(features[odd])
+    norms[odd], dots[odd] = np.linalg.norm(rows, axis=1), rows @ vec
     safe = np.where(norms > 0, norms, 1.0)
-    cos = (features @ vec) / (safe * np.linalg.norm(vec))
+    cos = dots / (safe * np.linalg.norm(vec))
     ineligible = np.empty(0, dtype=np.int64)
     if eligible is not None:
         mask = np.ones(len(cos), dtype=bool)

@@ -22,14 +22,12 @@ from scipy.stats import rankdata
 from . import retrieval
 from .coldstart import ColdStartRequest, attach_and_embed, recommend_for_cold
 from .graph import (DirectedProductGraph, build_graph, has_cp_edges,
-                    one_way_mask)
+                    one_way_mask, transitive_pairs)
 from .model import DualEmbeddings, ModelParams, embed_all
 from .util import STREAM_EVAL, STREAM_SPLIT, derive_rng
 
 DEFAULT_RATIOS = (0.75, 0.05, 0.20)
 DEFAULT_KS = (5, 10, 20)
-
-TASKS = ("node-rec", "lp-exist", "lp-dir", "coldstart", "selection-bias")
 
 
 @dataclass
@@ -74,20 +72,12 @@ def make_edge_split(g: DirectedProductGraph, ratios=DEFAULT_RATIOS,
 
 def make_selection_bias_split(g: DirectedProductGraph, ratios=DEFAULT_RATIOS,
                               seed: int = 0) -> EvalSplit:
-    """Edge split plus synthesized transitive test edges.
-
-    For every train co-purchase edge (a, b) and co-view partner c of b,
-    (a, c) joins the test set when it is not already a co-purchase edge.
-    Synthesis is capped at the size of the held-out test set to keep the
-    evaluation balanced.
-    """
+    """Edge split plus synthesized transitive test edges: the
+    `transitive_pairs` of the train edges (a bought b, c co-viewed with b),
+    capped at the size of the held-out test set to keep the evaluation
+    balanced."""
     base = make_edge_split(g, ratios, seed)
-    deg, c = g.cv_out.rows(base.train_edges[:, 1])
-    a = np.repeat(base.train_edges[:, 0], deg)
-    ok = (c != a) & ~has_cp_edges(g, a, c)
-    # distinct pairs in (a, c) order, as sorted `a * n + c` keys
-    keys = np.unique(a[ok] * g.num_nodes + c[ok])
-    synth = np.stack([keys // g.num_nodes, keys % g.num_nodes], axis=1)
+    synth = transitive_pairs(g, base.train_edges)
     cap = len(base.test_edges)
     # balance against the held-out edges; with no held-out edges the
     # synthesized relationships are the whole test set
@@ -110,17 +100,35 @@ def make_node_split(g: DirectedProductGraph, ratios=DEFAULT_RATIOS,
     return EvalSplit(train_nodes=tr, val_nodes=va, test_nodes=te)
 
 
-def train_graph(g: DirectedProductGraph, split: EvalSplit,
+# Each split once, by name: split name -> the name of its maker above,
+# looked up at call time so a wrapper bound over a maker sees every call.
+SPLITS = {"none": None, "edge": "make_edge_split", "node": "make_node_split",
+          "selection-bias": "make_selection_bias_split"}
+# The split each offline task is scored on.
+TASKS = {"node-rec": "edge", "lp-exist": "edge", "lp-dir": "edge",
+         "coldstart": "node", "selection-bias": "selection-bias"}
+
+
+def make_split(name: str, g: DirectedProductGraph, ratios=DEFAULT_RATIOS,
+               seed: int = 0) -> EvalSplit | None:
+    """The split `SPLITS[name]` of `g`; None for "none"."""
+    maker = SPLITS[name]
+    return None if maker is None else globals()[maker](g, ratios, seed)
+
+
+def train_graph(g: DirectedProductGraph, split: EvalSplit | None,
                 use_coview: bool = True) -> DirectedProductGraph:
-    """The graph visible at training/inference time for a split."""
+    """The graph visible at training/inference time for a split (all of
+    `g` for no split)."""
     cv = g.cv_pairs if use_coview else np.empty((0, 2), dtype=np.int64)
+    if split is None:
+        return build_graph(g.cp_edges, cv, g.num_nodes)
     if split.train_nodes is None:   # an edge split
         return build_graph(split.train_edges, cv, g.num_nodes)
     keep = np.zeros(g.num_nodes, dtype=bool)
     keep[split.train_nodes] = True
     cp = g.cp_edges[keep[g.cp_edges[:, 0]] & keep[g.cp_edges[:, 1]]]
-    if len(cv):
-        cv = cv[keep[cv[:, 0]] & keep[cv[:, 1]]]
+    cv = cv[keep[cv[:, 0]] & keep[cv[:, 1]]]
     return build_graph(cp, cv, g.num_nodes)
 
 
@@ -262,7 +270,10 @@ def auc_direction(g: DirectedProductGraph, test_edges: np.ndarray,
 # Task runners
 # ----------------------------------------------------------------------
 
-def _ranking_report(g_train, emb, test_edges, ks) -> MetricReport:
+def ranking_report(g_train: DirectedProductGraph, emb: DualEmbeddings,
+                   test_edges, ks) -> MetricReport:
+    """HitRate@k and MRR@k of held-out edges (u, v), each u ranking every
+    product but itself and its co-purchase out-neighbors in `g_train`."""
     index = retrieval.EmbeddingIndex.build(emb, graph=g_train)
     queries = np.unique(np.asarray(test_edges)[:, 0])
     rankings = rank_queries(index, queries, k=max(ks))
@@ -275,49 +286,43 @@ def run_task(task: str, g: DirectedProductGraph, features: np.ndarray,
              k_sim: int = 5) -> MetricReport:
     """Run one offline task end to end against a trained model.
 
-    The split is rebuilt deterministically from (graph, split_seed), so a
-    model trained against the same seed is evaluated on held-out data it
-    never saw. Validation edges stay out of the inference graph.
+    The task's split (`TASKS`) is rebuilt deterministically from (graph,
+    split_seed), so a model trained against the same seed is evaluated on
+    held-out data it never saw. Validation edges stay out of the inference
+    graph.
     """
     if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
-    if task in ("node-rec", "lp-exist", "lp-dir"):
-        split = make_edge_split(g, ratios, split_seed)
-        g_train = train_graph(g, split, use_coview=use_coview)
-        emb = embed_all(g_train, features, params)
-        if task == "node-rec":
-            return _ranking_report(g_train, emb, split.test_edges, ks)
-        if task == "lp-exist":
-            pos = relevance_scores(emb, split.test_edges)
-            non_edges = sample_non_edges(g, len(split.test_edges), split_seed)
-            neg = relevance_scores(emb, non_edges)
-            report = MetricReport(counts={"test_edges": len(pos),
-                                          "non_edges": len(neg)})
-            report.auc["existence"] = auc_existence(pos, neg)
-            return report
+        raise ValueError(f"unknown task {task!r}; expected one of "
+                         f"{tuple(TASKS)}")
+    split = make_split(TASKS[task], g, ratios, split_seed)
+    g_train = train_graph(g, split, use_coview=use_coview)
+    emb = embed_all(g_train, features, params)
+    if task == "lp-exist":
+        pos = relevance_scores(emb, split.test_edges)
+        non_edges = sample_non_edges(g, len(split.test_edges), split_seed)
+        neg = relevance_scores(emb, non_edges)
+        report = MetricReport(counts={"test_edges": len(pos),
+                                      "non_edges": len(neg)})
+        report.auc["existence"] = auc_existence(pos, neg)
+        return report
+    if task == "lp-dir":
         ow = one_way_mask(g, split.test_edges)
         report = MetricReport(counts={"one_way_test_edges": int(ow.sum())})
         report.auc["direction"] = auc_direction(g, split.test_edges, emb)
         return report
-
-    if task == "selection-bias":
-        split = make_selection_bias_split(g, ratios, split_seed)
-        g_train = train_graph(g, split, use_coview=use_coview)
-        emb = embed_all(g_train, features, params)
-        report = _ranking_report(g_train, emb, split.test_edges, ks)
+    if task != "coldstart":   # node-rec and selection-bias
+        report = ranking_report(g_train, emb, split.test_edges, ks)
         synth = split.synth_test_edges
         if synth is not None and len(synth):
-            sub = _ranking_report(g_train, emb, synth, ks)
+            sub = ranking_report(g_train, emb, synth, ks)
             for k in ks:
                 report.hitrate[f"{k}_synth"] = sub.hitrate[k]
                 report.mrr[f"{k}_synth"] = sub.mrr[k]
             report.counts["synth_test_edges"] = len(synth)
         return report
 
-    # cold-start over a node split
-    split = make_node_split(g, ratios, split_seed)
-    g_train = train_graph(g, split, use_coview=use_coview)
-    emb = embed_all(g_train, features, params)
+    # cold start: each test node with co-purchase edges into train nodes
+    # ranks warm products from its cold-start embedding
     index = retrieval.EmbeddingIndex.build(emb, graph=g_train)
     train_set = np.zeros(g.num_nodes, dtype=bool)
     train_set[split.train_nodes] = True

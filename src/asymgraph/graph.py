@@ -226,6 +226,18 @@ def has_cp_edges(g: DirectedProductGraph, u, v) -> np.ndarray:
     return keys[idx] == q
 
 
+def transitive_pairs(g: DirectedProductGraph, edges) -> np.ndarray:
+    """Distinct (a, c), sorted, for each edge (a, b) and co-view partner
+    c of b in `g`, unless c == a or a -> c is a co-purchase edge of `g`."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    deg, c = g.cv_out.rows(edges[:, 1])
+    a = np.repeat(edges[:, 0], deg)
+    ok = (c != a) & ~has_cp_edges(g, a, c)
+    # distinct pairs in (a, c) order, as sorted `a * n + c` keys
+    keys = np.unique(a[ok] * g.num_nodes + c[ok])
+    return np.stack([keys // g.num_nodes, keys % g.num_nodes], axis=1)
+
+
 def one_way_mask(g: DirectedProductGraph, edges: np.ndarray) -> np.ndarray:
     """Per-edge flag: True iff the reverse co-purchase edge is absent."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)

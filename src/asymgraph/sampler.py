@@ -101,9 +101,9 @@ def sample_blocks(g: DirectedProductGraph, seeds, fanouts,
     """Build the per-layer computation blocks for both channels.
 
     fanouts lists per-layer caps outermost first (seed-adjacent hop
-    first); a cap of None, or fanouts=None with an explicit layer count,
-    keeps full neighborhoods. With all caps slack no randomness is drawn,
-    so full-fanout blocks are seed-independent.
+    first), one per layer; a cap of None keeps full neighborhoods. With
+    all caps slack no randomness is drawn, so full-fanout blocks are
+    seed-independent.
     """
     if isinstance(fanouts, int):
         raise TypeError("fanouts must be a sequence of per-layer caps")

@@ -10,8 +10,9 @@ the premise cold-start attachment and the co-view transitivity signal
 rely on.
 
 Ground truth records the planted direct pairs and the transitive pairs
-(main -> accessory -> co-view sibling of that accessory) the
-selection-bias task probes.
+the selection-bias task probes: `graph.transitive_pairs` over every
+co-purchase edge (main -> accessory -> co-view sibling of that accessory,
+and the same through a reciprocal edge).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .formats import write_pairs
-from .graph import KeyMap, dump_feature_file
+from .graph import KeyMap, build_graph, dump_feature_file, transitive_pairs
 from .util import STREAM_SYNTH, derive_rng
 
 # Scale of the per-clique centroid offset relative to the unit category
@@ -128,19 +129,8 @@ def generate(cfg: SynthConfig) -> SynthData:
     cp_arr = np.asarray(cp, dtype=np.int64).reshape(-1, 2)
     cv_arr = np.asarray(sorted(set(cv)), dtype=np.int64).reshape(-1, 2)
     direct_arr = np.asarray(direct, dtype=np.int64).reshape(-1, 2)
-
-    cp_set = {(int(u), int(v)) for u, v in cp_arr}
-    cv_adj: dict[int, set[int]] = {}
-    for u, v in cv_arr:
-        cv_adj.setdefault(int(u), set()).add(int(v))
-        cv_adj.setdefault(int(v), set()).add(int(u))
-    transitive = set()
-    for a, b in cp_set:
-        for c in cv_adj.get(b, ()):
-            if c != a and (a, c) not in cp_set:
-                transitive.add((a, c))
-    trans_arr = np.asarray(sorted(transitive), dtype=np.int64).reshape(-1, 2)
-
+    trans_arr = transitive_pairs(build_graph(cp_arr, cv_arr, num_nodes),
+                                 cp_arr)
     return SynthData(key_map=key_map, features=features,
                      cp_pairs=cp_arr, cv_pairs=cv_arr,
                      direct_truth=direct_arr, transitive_truth=trans_arr)

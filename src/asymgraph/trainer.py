@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import retrieval
 from .errors import DataFormatError, NumericalError
+from .evaluation import ranking_report
 from .formats import read_binary, write_binary
 from .graph import DirectedProductGraph, one_way_mask
 from .loss import NEGATIVE_FORMS, NUM_TERMS, LossBatch, loss_grad
@@ -213,14 +213,9 @@ def _incident_cv_pairs(g: DirectedProductGraph, endpoints: np.ndarray,
 
 def validation_mrr10(g: DirectedProductGraph, features: np.ndarray,
                      params: ModelParams, val_edges: np.ndarray) -> float:
-    """MRR@10 of held-out edges, ranking against all products minus the
-    query and its known co-purchase out-neighbors."""
-    from .evaluation import hitrate_mrr, rank_queries
-    emb = embed_all(g, features, params)
-    index = retrieval.EmbeddingIndex.build(emb, graph=g)
-    rankings = rank_queries(index, np.unique(val_edges[:, 0]), k=10)
-    report = hitrate_mrr(rankings, val_edges, (10,))
-    return report.mrr[10]
+    """MRR@10 of held-out edges (`evaluation.ranking_report`)."""
+    return ranking_report(g, embed_all(g, features, params), val_edges,
+                          (10,)).mrr[10]
 
 
 def train(g: DirectedProductGraph, features: np.ndarray, cfg: TrainConfig,

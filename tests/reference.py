@@ -280,6 +280,25 @@ def loop_selection_bias_split(g, ratios, seed):
     return test, synth
 
 
+def loop_transitive_pairs(cp_arr, cv_arr, edges=None):
+    """The synthetic generator's transitive ground truth with its set loop:
+    (a, c) for each co-purchase pair (a, b), or each of `edges` when given,
+    and co-view partner c of b, unless c == a or (a, c) is a co-purchase
+    pair; distinct and sorted."""
+    cp_set = {(int(u), int(v)) for u, v in cp_arr}
+    cv_adj: dict[int, set[int]] = {}
+    for u, v in cv_arr:
+        cv_adj.setdefault(int(u), set()).add(int(v))
+        cv_adj.setdefault(int(v), set()).add(int(u))
+    transitive = set()
+    for a, b in cp_set if edges is None else {(int(u), int(v))
+                                              for u, v in edges}:
+        for c in cv_adj.get(b, ()):
+            if c != a and (a, c) not in cp_set:
+                transitive.add((a, c))
+    return np.asarray(sorted(transitive), dtype=np.int64).reshape(-1, 2)
+
+
 def lexsort_warm_neighbors(features, vec, k_sim, eligible=None):
     """Warm-neighbour pick by a full lexsort of the catalogue on
     (-cosine, id), dropping ineligible (-inf) rows."""

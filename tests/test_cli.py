@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import reference as ref
-from asymgraph import cli, trainer
-from asymgraph.graph import KeyMap, dump_feature_file
+from asymgraph import cli, evaluation, trainer
+from asymgraph.graph import KeyMap, dump_edge_file, dump_feature_file
 
 PKG_ROOT = Path(__file__).parent.parent
 
@@ -351,6 +351,28 @@ def test_resume_with_more_epochs_matches_straight_run(one_epoch, tmp_path):
     assert _train(edges, features, cfg, straight, "--epochs", "2") == 0
     for name in ("model.ckpt", "train_state.ckpt"):
         assert (resumed / name).read_bytes() == (straight / name).read_bytes()
+
+
+def test_train_splits_on_the_seed_eval_defaults_to(workspace, tmp_path):
+    """`train --seed 5` without `--split-seed` holds out the edges that
+    `eval` (split seed 0 by default) scores, not those of split seed 5."""
+    root, corpus = workspace
+    edges, features = corpus / "edges.tsv", corpus / "features.tsv"
+    cfg, out = tmp_path / "train.cfg", tmp_path / "model"
+    cfg.write_text(RESUME_CFG)
+    assert cli.main(["train", "--graph", str(edges), "--features",
+                     str(features), "--config", str(cfg), "--out", str(out),
+                     "--seed", "5", "--epochs", "1"]) == 0
+    eval_default = cli.build_parser().parse_args(
+        ["eval", "--task", "node-rec", "--model", "m", "--graph", "g",
+         "--features", "f", "--out", "o"]).split_seed
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seeds"]["split_seed"] == eval_default
+    g, _features, km = cli._load_graph(edges, features)
+    split = evaluation.make_edge_split(g, seed=eval_default)
+    dump_edge_file(evaluation.train_graph(g, split), km, tmp_path / "want.tsv")
+    assert (out / "graph.tsv").read_bytes() == \
+        (tmp_path / "want.tsv").read_bytes()
 
 
 # --- rerun determinism, in process --------------------------------------

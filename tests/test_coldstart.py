@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -57,6 +59,34 @@ def test_find_warm_neighbors_ties_by_id():
                                eligible=np.array([6, 5, 1])).tolist() == [1, 5]
     assert find_warm_neighbors(features, vec, 3,
                                eligible=np.array([], dtype=np.int64)).size == 0
+
+
+def test_find_warm_neighbors_survives_underflowing_norms():
+    """Squares of 1e-200 underflow to 0: the cold vector must still find
+    the warm row equal to it first, without a divide warning."""
+    features = np.array([[1e-200, 1e-200], [1.0, -1.0], [0.5, 0.4]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm = find_warm_neighbors(features, np.array([1e-200, 1e-200]), 2)
+    assert warm.tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("exp", [600, -600])
+def test_find_warm_neighbors_ignores_power_of_two_scale(exp):
+    """Scaling the cold vector, or a warm row, by 2^+-600 (squares that
+    overflow or underflow) leaves the whole neighbour order as it is."""
+    rng = np.random.default_rng(3)
+    features = rng.normal(size=(40, 6))
+    features[7] = 0.0
+    vec = rng.normal(size=6)
+    want = find_warm_neighbors(features, vec, 40)
+    scaled = features.copy()
+    scaled[[4, 9]] = np.ldexp(scaled[[4, 9]], exp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(
+            find_warm_neighbors(features, np.ldexp(vec, exp), 40), want)
+        assert np.array_equal(find_warm_neighbors(scaled, vec, 40), want)
 
 
 def test_attach_and_embed_matches_rebuild_oracle(mini_corpus):

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from asymgraph.evaluation import (auc_direction, auc_existence, hitrate_mrr,
-                                  make_edge_split, make_node_split,
-                                  make_selection_bias_split, rank_queries,
-                                  run_task, sample_non_edges, train_graph)
+from asymgraph.evaluation import (SPLITS, TASKS, EvalSplit, auc_direction,
+                                  auc_existence, hitrate_mrr, make_edge_split,
+                                  make_node_split, make_selection_bias_split,
+                                  make_split, rank_queries, run_task,
+                                  sample_non_edges, train_graph)
 from asymgraph.graph import build_graph, has_cp_edges
 from asymgraph.model import DualEmbeddings
 from asymgraph.util import STREAM_EVAL, derive_rng
@@ -120,6 +121,26 @@ class TestSplits:
         assert np.array_equal(gt.cp_edges, split.train_edges)
         g_cp_only = train_graph(g, split, use_coview=False)
         assert len(g_cp_only.cv_pairs) == 0
+
+
+    def test_named_splits_are_their_makers(self, random_graph):
+        g, _ = random_graph(num_nodes=25, num_cp=60, num_cv=30, seed=9)
+        assert set(TASKS.values()) <= set(SPLITS)
+        assert make_split("none", g, seed=4) is None
+        for name, maker in (("edge", make_edge_split),
+                            ("node", make_node_split),
+                            ("selection-bias", make_selection_bias_split)):
+            got, want = make_split(name, g, seed=4), maker(g, seed=4)
+            for f in EvalSplit.__dataclass_fields__:
+                a, b = getattr(got, f), getattr(want, f)
+                assert (a is None and b is None) or np.array_equal(a, b), f
+
+    def test_train_graph_without_split_is_the_whole_graph(self, random_graph):
+        g, _ = random_graph(num_nodes=25, num_cp=60, num_cv=30, seed=8)
+        gt = train_graph(g, None)
+        assert np.array_equal(gt.cp_edges, g.cp_edges)
+        assert np.array_equal(gt.cv_pairs, g.cv_pairs)
+        assert len(train_graph(g, None, use_coview=False).cv_pairs) == 0
 
 
 class TestMetrics:

@@ -7,8 +7,10 @@ from asymgraph.errors import DataFormatError
 from asymgraph.graph import (KeyMap, attach_node, build_graph,
                              dump_edge_file, graph_stats,
                              load_edge_file, load_feature_file,
-                             one_way_cp_edges, one_way_mask, dump_feature_file)
-from reference import loop_one_way_mask, sort_build_graph
+                             one_way_cp_edges, one_way_mask, dump_feature_file,
+                             transitive_pairs)
+from reference import (loop_one_way_mask, loop_transitive_pairs,
+                       sort_build_graph)
 
 
 def graph_arrays(g):
@@ -89,6 +91,32 @@ def test_build_graph_matches_sort_oracle(case):
     n, cp, cv = case
     assert_same_arrays(graph_arrays(build_graph(cp, cv, n)),
                        sort_build_graph(cp, cv, n))
+
+
+@st.composite
+def transitive_cases(draw):
+    """`pair_lists` plus the co-purchase pairs to walk from: all of them
+    (None) or a subset, repeats and self-pairs included."""
+    n, cp, cv = draw(pair_lists())
+    keep = draw(st.none() | st.lists(st.booleans(), min_size=len(cp),
+                                     max_size=len(cp)))
+    return n, cp, cv, None if keep is None else [
+        p for p, k in zip(cp, keep) if k]
+
+
+@given(transitive_cases())
+@example((3, [(0, 1)], [], None))                        # no co-view
+@example((3, [], [(0, 1)], None))                        # no co-purchase
+@example((4, [(0, 1), (1, 0), (1, 2)], [(0, 3), (1, 3), (0, 2)], None))
+@example((4, [(0, 1), (0, 1), (2, 2), (1, 2)], [(1, 2), (2, 2), (2, 3)],
+          [(0, 1), (2, 2)]))                             # repeats, self, subset
+def test_transitive_pairs_matches_loop_oracle(case):
+    n, cp, cv, edges = case
+    got = transitive_pairs(build_graph(cp, cv, n),
+                           cp if edges is None else edges)
+    want = loop_transitive_pairs(cp, cv, edges)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_cv_in_is_cv_out():

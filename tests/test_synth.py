@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,19 @@ from asymgraph.errors import DataFormatError
 from asymgraph.formats import load_config
 from asymgraph.graph import build_graph, graph_stats, load_edge_file
 from asymgraph.synth import SynthConfig, generate, write_corpus
+from reference import loop_transitive_pairs
+
+# sha256 of `write_corpus(generate(SynthConfig()))`, taken before the
+# transitive ground truth left its set loop; a change means the generator's
+# random stream or its ground truth moved
+DEFAULT_CORPUS_SHA256 = {
+    "edges.tsv":
+        "fde9f4ed62b54edc8b75130c84c518bc71588c24d9d63d6fd65294532dd5e564",
+    "features.tsv":
+        "e3eb6cb2ae587052822c10f90ad8e003724819ce226da987c367361459cff4f5",
+    "ground_truth.tsv":
+        "f2343ad4ed69c693dbd99cc0eae0cefbb75eb85ae372a1744b5456996de55b41",
+}
 
 
 def test_reciprocal_zero_means_all_one_way():
@@ -59,6 +74,29 @@ def test_ground_truth_transitive_pattern(mini_corpus):
         found = any(c in g.cv_out.neighbors(b)
                     for b in g.cp_out.neighbors(a))
         assert found, f"no co-purchase/co-view path from {a} to {c}"
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(num_categories=3, products_per_category=30, seed=4),
+    SynthConfig(num_categories=2, products_per_category=25,
+                reciprocal_prob=1.0, seed=5),
+    SynthConfig(num_categories=2, products_per_category=20,
+                cv_clique_size=1, seed=6),
+    SynthConfig(num_categories=2, products_per_category=20,
+                cp_edge_prob=0.0, seed=7),
+])
+def test_transitive_truth_matches_loop_oracle(cfg):
+    data = generate(cfg)
+    want = loop_transitive_pairs(data.cp_pairs, data.cv_pairs)
+    got = data.transitive_truth
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_default_corpus_bytes_are_pinned(tmp_path):
+    paths = write_corpus(generate(SynthConfig()), tmp_path)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in paths.values()} == DEFAULT_CORPUS_SHA256
 
 
 def test_direct_truth_are_planted_edges(mini_corpus):
