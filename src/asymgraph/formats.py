@@ -143,22 +143,24 @@ def write_rows(path, keys, mats, prefixes=("",)) -> None:
     """Write what `read_rows` reads: row i is keys[i], then row i of each
     matrix behind its prefix, in round-trippable `.17g` floats."""
     _check_keys(path, keys)
+    floats = ",".join(["%.17g"] * mats[0].shape[1])
+    line = "%s" + "".join("\t" + p.replace("%", "%%") + floats
+                          for p in prefixes) + "\n"
     with atomic_write(path) as f:
         f.write("%d\t%d\n" % mats[0].shape)
         for i, key in enumerate(keys):
-            f.write(key + "".join(
-                f"\t{p}" + ",".join(format(float(x), ".17g") for x in m[i])
-                for p, m in zip(prefixes, mats)) + "\n")
+            f.write(line % (key, *[x for m in mats for x in m[i].tolist()]))
 
 
 def write_pairs(path, key_map, groups) -> None:
     """Write one `<key>\\t<key>\\t<label>` line per pair, for each
     (pairs, label) group in order; every key of `key_map` is checked."""
-    _check_keys(path, key_map.keys())
+    keys = key_map.keys()
+    _check_keys(path, keys)
     with atomic_write(path) as f:
         for pairs, label in groups:
-            for u, v in pairs:
-                f.write(f"{key_map.key_of(u)}\t{key_map.key_of(v)}\t{label}\n")
+            ids = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).tolist()
+            f.writelines(f"{keys[u]}\t{keys[v]}\t{label}\n" for u, v in ids)
 
 
 def write_binary(path, magic: bytes, version: int, stacks,

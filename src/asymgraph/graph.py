@@ -28,10 +28,8 @@ class KeyMap:
     """
 
     def __init__(self, keys=()):
-        self._keys: list[str] = []
-        self._ids: dict[str, int] = {}
-        for k in keys:
-            self.add(k)
+        self._keys: list[str] = list(dict.fromkeys(keys))
+        self._ids: dict[str, int] = {k: i for i, k in enumerate(self._keys)}
 
     def add(self, key: str) -> int:
         idx = self._ids.get(key)
@@ -83,6 +81,16 @@ class Adjacency:
         """Every stored (u, v) as an (m, 2) array, sorted by (u, v)."""
         u = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
         return np.stack([u, self.indices], axis=1)
+
+
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """What `np.unique` gives for a 1-D key array, by a sort and a mask:
+    on int64 keys that beats its hash table many times over."""
+    keys = np.sort(keys)
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 def _csr_from_keys(keys: np.ndarray, num_nodes: int) -> Adjacency:
@@ -155,8 +163,8 @@ def build_graph(cp_pairs, cv_pairs, num_nodes: int) -> DirectedProductGraph:
     n = num_nodes
     cp = _checked_pairs(cp_pairs, n, "co-purchase")
     cv = _checked_pairs(cv_pairs, n, "co-view")
-    cp_keys = np.unique(cp[:, 0] * n + cp[:, 1])
-    cv_keys = np.unique(cv.min(axis=1) * n + cv.max(axis=1))  # u < v
+    cp_keys = _sorted_distinct(cp[:, 0] * n + cp[:, 1])
+    cv_keys = _sorted_distinct(cv.min(axis=1) * n + cv.max(axis=1))  # u < v
     return DirectedProductGraph(
         num_nodes=n,
         cp_out=_csr_from_keys(cp_keys, n),
@@ -234,7 +242,7 @@ def transitive_pairs(g: DirectedProductGraph, edges) -> np.ndarray:
     a = np.repeat(edges[:, 0], deg)
     ok = (c != a) & ~has_cp_edges(g, a, c)
     # distinct pairs in (a, c) order, as sorted `a * n + c` keys
-    keys = np.unique(a[ok] * g.num_nodes + c[ok])
+    keys = _sorted_distinct(a[ok] * g.num_nodes + c[ok])
     return np.stack([keys // g.num_nodes, keys % g.num_nodes], axis=1)
 
 

@@ -21,7 +21,7 @@ from asymgraph.loss import (NEGATIVE_FORMS, NUM_TERMS, LossBatch, LossValue,
                             log_sigmoid, sigmoid)
 from asymgraph.model import DualEmbeddings, ModelParams
 from asymgraph.sampler import SOURCE, TARGET, ComputationBlocks
-from asymgraph.synth import SynthConfig
+from asymgraph.synth import CLIQUE_OFFSET, SynthConfig, SynthData
 from asymgraph.trainer import AdamState, TrainConfig, TrainState
 from asymgraph.util import atomic_write
 
@@ -297,6 +297,77 @@ def loop_transitive_pairs(cp_arr, cv_arr, edges=None):
             if c != a and (a, c) not in cp_set:
                 transitive.add((a, c))
     return np.asarray(sorted(transitive), dtype=np.int64).reshape(-1, 2)
+
+
+def _loop_groups(members, size, rng):
+    order = rng.permutation(members)
+    return [order[i:i + size] for i in range(0, len(order), size)]
+
+
+def loop_generate(cfg: SynthConfig) -> SynthData:
+    """The synthetic generator with its per-clique and per-pair loops,
+    verbatim: every vectorised draw must land where these loops drew."""
+    from asymgraph.graph import build_graph, transitive_pairs
+    from asymgraph.util import STREAM_SYNTH, derive_rng
+
+    rng = derive_rng(cfg.seed, STREAM_SYNTH)
+    n_acc = int(round(cfg.products_per_category * cfg.accessory_fraction))
+    n_main = cfg.products_per_category - n_acc
+    num_nodes = cfg.num_categories * cfg.products_per_category
+
+    key_map = KeyMap()
+    features = np.empty((num_nodes, cfg.feature_dim))
+    cp: list[tuple[int, int]] = []
+    cv: list[tuple[int, int]] = []
+    direct: list[tuple[int, int]] = []
+
+    for cat in range(cfg.num_categories):
+        base = cat * cfg.products_per_category
+        mains = np.arange(base, base + n_main)
+        accs = np.arange(base + n_main, base + cfg.products_per_category)
+        for i in mains:
+            key_map.add(f"c{cat:02d}m{i - base:03d}")
+        for i in accs:
+            key_map.add(f"c{cat:02d}a{i - base - n_main:03d}")
+        centroid = rng.normal(size=cfg.feature_dim)
+        centroid /= np.linalg.norm(centroid)
+
+        main_groups = _loop_groups(mains, cfg.cv_clique_size, rng)
+        acc_groups = _loop_groups(accs, cfg.cv_clique_size, rng)
+
+        for group in main_groups + acc_groups:
+            offset = rng.normal(size=cfg.feature_dim)
+            offset *= CLIQUE_OFFSET / np.linalg.norm(offset)
+            noise = rng.normal(scale=cfg.noise_std,
+                               size=(len(group), cfg.feature_dim))
+            features[group] = centroid + offset + noise
+            if len(group) >= 2:
+                srt = np.sort(group)
+                for i in range(len(srt)):
+                    for j in range(i + 1, len(srt)):
+                        cv.append((int(srt[i]), int(srt[j])))
+
+        # Each main clique buys from its paired accessory bundle.
+        for gi, group in enumerate(main_groups):
+            if not acc_groups:
+                break
+            bundle = acc_groups[gi % len(acc_groups)]
+            for m in group:
+                for a in bundle:
+                    if rng.random() < cfg.cp_edge_prob:
+                        cp.append((int(m), int(a)))
+                        direct.append((int(m), int(a)))
+                        if rng.random() < cfg.reciprocal_prob:
+                            cp.append((int(a), int(m)))
+
+    cp_arr = np.asarray(cp, dtype=np.int64).reshape(-1, 2)
+    cv_arr = np.asarray(sorted(set(cv)), dtype=np.int64).reshape(-1, 2)
+    direct_arr = np.asarray(direct, dtype=np.int64).reshape(-1, 2)
+    trans_arr = transitive_pairs(build_graph(cp_arr, cv_arr, num_nodes),
+                                 cp_arr)
+    return SynthData(key_map=key_map, features=features,
+                     cp_pairs=cp_arr, cv_pairs=cv_arr,
+                     direct_truth=direct_arr, transitive_truth=trans_arr)
 
 
 def lexsort_warm_neighbors(features, vec, k_sim, eligible=None):

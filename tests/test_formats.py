@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import reference as ref
 from asymgraph.errors import DataFormatError
 from asymgraph.evaluation import make_edge_split, train_graph
-from asymgraph.formats import HEADER, load_config, save_config
+from asymgraph.formats import HEADER, load_config, save_config, write_rows
 from asymgraph.graph import (KeyMap, build_graph, dump_edge_file,
                              dump_feature_file, load_edge_file,
                              load_feature_file)
@@ -232,6 +232,22 @@ def test_embedding_roundtrip_matches_reference(scratch, data):
         assert np.array_equal(loaded.theta_t, T)
         assert np.array_equal(loaded.nodes, np.arange(len(km)))
     assert km2.keys() == km3.keys() == km.keys()
+
+
+@given(data=keyed_rows(2))
+def test_row_text_is_17g_per_float(scratch, data):
+    """The text is `format(x, ".17g")` of each float, as rows were written
+    one float at a time (`finite` draws signed zeros, subnormals and the
+    extremes); a `%` in a prefix is literal."""
+    km, (S, T) = data
+    path = scratch / "rows.tsv"
+    write_rows(path, km.keys(), [S, T], ("S:", "T%:"))
+    want = "%d\t%d\n" % S.shape + "".join(
+        key + "".join(f"\t{p}" + ",".join(format(float(x), ".17g")
+                                          for x in m[i])
+                      for p, m in (("S:", S), ("T%:", T))) + "\n"
+        for i, key in enumerate(km.keys()))
+    assert path.read_text(encoding="utf-8") == want
 
 
 @FUZZ

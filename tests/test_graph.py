@@ -4,8 +4,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from asymgraph.errors import DataFormatError
-from asymgraph.graph import (KeyMap, attach_node, build_graph,
-                             dump_edge_file, graph_stats,
+from asymgraph.graph import (KeyMap, _sorted_distinct, attach_node,
+                             build_graph, dump_edge_file, graph_stats,
                              load_edge_file, load_feature_file,
                              one_way_cp_edges, one_way_mask, dump_feature_file,
                              transitive_pairs)
@@ -116,6 +116,22 @@ def test_transitive_pairs_matches_loop_oracle(case):
                            cp if edges is None else edges)
     want = loop_transitive_pairs(cp, cv, edges)
     assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@given(st.integers(1, 3_000_000_000),
+       st.lists(st.integers(0, 40), max_size=30),
+       st.lists(st.integers(0, 40), max_size=30))
+@example(1, [], [])                               # empty
+@example(5, [3, 3, 0, 3], [0, 0, 24])             # repeats
+def test_sorted_distinct_matches_np_unique(n, low, high):
+    """Keys `u * n + v` as build_graph makes them, from both ends of
+    [0, n * n); n * n reaches 9e18, near the int64 limit."""
+    top = n * n - 1
+    keys = np.asarray([k for k in low + [top - o for o in high]
+                       if 0 <= k <= top], dtype=np.int64)
+    got, want = _sorted_distinct(keys), np.unique(keys)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert np.array_equal(got, want)
 
 

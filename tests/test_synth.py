@@ -1,13 +1,16 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from asymgraph.errors import DataFormatError
 from asymgraph.formats import load_config
 from asymgraph.graph import build_graph, graph_stats, load_edge_file
-from asymgraph.synth import SynthConfig, generate, write_corpus
-from reference import loop_transitive_pairs
+from asymgraph.synth import SynthConfig, SynthData, generate, write_corpus
+from reference import loop_generate, loop_transitive_pairs
 
 # sha256 of `write_corpus(generate(SynthConfig()))`, taken before the
 # transitive ground truth left its set loop; a change means the generator's
@@ -20,6 +23,22 @@ DEFAULT_CORPUS_SHA256 = {
     "ground_truth.tsv":
         "f2343ad4ed69c693dbd99cc0eae0cefbb75eb85ae372a1744b5456996de55b41",
 }
+
+# The same for the benchmark's 10k corpus, `SynthConfig(num_categories=100,
+# seed=1)`, taken while the generator still drew with per-pair loops
+BENCH_CORPUS_SHA256 = {
+    "edges.tsv":
+        "ab9911d898da0be502ced75635fddf36a5a6de7c355763f8a619cd4bf13fa526",
+    "features.tsv":
+        "849cf3b299d44bcc85c209090f219eb0e09d2ad513d961beaff423276e7632a2",
+    "ground_truth.tsv":
+        "f43eb9acde6c864af9a48fffac953be0fbc3abe1712a545fa5bd4da33b578ef4",
+}
+
+
+def _corpus_sha256(cfg, out_dir):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in write_corpus(generate(cfg), out_dir).values()}
 
 
 def test_reciprocal_zero_means_all_one_way():
@@ -94,9 +113,58 @@ def test_transitive_truth_matches_loop_oracle(cfg):
 
 
 def test_default_corpus_bytes_are_pinned(tmp_path):
-    paths = write_corpus(generate(SynthConfig()), tmp_path)
-    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in paths.values()} == DEFAULT_CORPUS_SHA256
+    assert _corpus_sha256(SynthConfig(), tmp_path) == DEFAULT_CORPUS_SHA256
+
+
+def test_bench_corpus_bytes_are_pinned(tmp_path):
+    assert _corpus_sha256(SynthConfig(num_categories=100, seed=1),
+                          tmp_path) == BENCH_CORPUS_SHA256
+
+
+@st.composite
+def synth_configs(draw):
+    prob = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    return SynthConfig(num_categories=draw(st.integers(1, 4)),
+                       products_per_category=draw(st.integers(1, 30)),
+                       accessory_fraction=draw(prob),
+                       cp_edge_prob=draw(prob),
+                       reciprocal_prob=draw(prob),
+                       cv_clique_size=draw(st.integers(1, 35)),
+                       feature_dim=draw(st.integers(1, 40)),
+                       noise_std=draw(st.sampled_from([0.0, 0.1])
+                                      | st.floats(0.0, 3.0)),
+                       seed=draw(st.integers(0, 2**32)))
+
+
+@given(synth_configs())
+@example(SynthConfig())
+@example(SynthConfig(num_categories=100, seed=7))
+@example(SynthConfig(num_categories=3, products_per_category=17,
+                     accessory_fraction=0.0, seed=1))
+@example(SynthConfig(num_categories=3, products_per_category=17,
+                     accessory_fraction=1.0, seed=2))
+@example(SynthConfig(num_categories=3, products_per_category=17,
+                     cv_clique_size=1, seed=3))
+@example(SynthConfig(num_categories=3, products_per_category=17,
+                     cv_clique_size=40, seed=4))   # one clique per kind
+@example(SynthConfig(num_categories=3, products_per_category=23,
+                     cv_clique_size=4, seed=5))    # short last cliques
+@example(SynthConfig(num_categories=3, products_per_category=17,
+                     cp_edge_prob=0.0, seed=6))
+@example(SynthConfig(num_categories=3, products_per_category=17,
+                     cp_edge_prob=1.0, reciprocal_prob=1.0, seed=7))
+@example(SynthConfig(num_categories=3, products_per_category=17,
+                     cp_edge_prob=1.0, reciprocal_prob=0.0, seed=8))
+@example(SynthConfig(num_categories=2, products_per_category=1, seed=3))
+def test_generate_matches_loop_oracle(cfg):
+    got, want = generate(cfg), loop_generate(cfg)
+    for field in dataclasses.fields(SynthData):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "key_map":
+            assert a.keys() == b.keys()
+        else:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            assert a.tobytes() == b.tobytes(), field.name
 
 
 def test_direct_truth_are_planted_edges(mini_corpus):
