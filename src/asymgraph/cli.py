@@ -45,6 +45,24 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def _int_at_least(low: int):
+    """An argparse type for ints of at least `low`, so a bad count or seed
+    is a usage error before any input is read."""
+    def parse(text: str) -> int:
+        if not text.removeprefix("-").isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
+
+
+_positive, _non_negative = _int_at_least(1), _int_at_least(0)
+
+
+def _ks(text: str) -> tuple[int, ...]:
+    return tuple(map(_positive, text.split(",")))
+
+
 def _setup_logging() -> None:
     level = os.environ.get("ASYMGRAPH_LOG", "info").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO,
@@ -236,16 +254,15 @@ def cmd_coldstart(args) -> int:
 def cmd_eval(args) -> int:
     g, features, km = _load_graph(args.graph, args.features)
     params = load_checkpoint(Path(args.model) / "model.ckpt")
-    ks = tuple(int(k) for k in args.ks.split(","))
     out = Path(args.out)
     write_manifest(out, "eval",
-                   {"task": args.task, "ks": list(ks),
+                   {"task": args.task, "ks": list(args.ks),
                     "no_coview": args.no_coview},
                    {"split_seed": args.split_seed},
                    {"graph": args.graph, "features": args.features,
                     "model": str(Path(args.model) / "model.ckpt")})
     report = evaluation.run_task(
-        args.task, g, features, params, split_seed=args.split_seed, ks=ks,
+        args.task, g, features, params, split_seed=args.split_seed, ks=args.ks,
         use_coview=not args.no_coview)
     rows = report.rows()
     with open(out / "metrics.tsv", "w", encoding="utf-8") as f:
@@ -276,7 +293,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--config", help="synth config file (key = value lines)")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative, default=None)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("build-graph", help="validate and dump a product graph")
@@ -290,10 +307,12 @@ def build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--config", help="train config file")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None, help="root seed override")
-    p.add_argument("--epochs", type=int, default=None, help="max epoch override")
+    p.add_argument("--seed", type=_non_negative, default=None,
+                   help="root seed override")
+    p.add_argument("--epochs", type=_positive, default=None,
+                   help="max epoch override")
     p.add_argument("--split", choices=list(evaluation.SPLITS), default="edge")
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--split-seed", type=_non_negative, default=0)
     p.add_argument("--no-coview", action="store_true",
                    help="train on co-purchase edges only")
     p.add_argument("--resume", help="training-state file to continue from")
@@ -310,7 +329,7 @@ def build_parser() -> _Parser:
     p.add_argument("--index", required=True,
                    help="directory with embeddings.tsv (and graph.tsv)")
     p.add_argument("--query", required=True, help="product key or file of keys")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_positive, default=10)
     p.add_argument("--mode", choices=["related", "similar"], default="related")
     p.add_argument("--filter", choices=list(retrieval.FILTERS), default="none")
     p.add_argument("--out", help="output TSV (default stdout)")
@@ -322,8 +341,8 @@ def build_parser() -> _Parser:
                    help="graph file (default: graph.tsv in the model dir)")
     p.add_argument("--features", required=True)
     p.add_argument("--cold", required=True, help="cold feature file")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--k-sim", type=int, default=5)
+    p.add_argument("--k", type=_positive, default=10)
+    p.add_argument("--k-sim", type=_positive, default=5)
     p.add_argument("--out", help="output TSV (default stdout)")
     p.set_defaults(fn=cmd_coldstart)
 
@@ -332,8 +351,8 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True, help="train output directory")
     p.add_argument("--graph", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--ks", default="5,10,20")
+    p.add_argument("--split-seed", type=_non_negative, default=0)
+    p.add_argument("--ks", type=_ks, default="5,10,20")
     p.add_argument("--no-coview", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_eval)
@@ -346,16 +365,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DataFormatError as exc:
-        log.error("%s", exc)
-        return EXIT_DATA
     except NumericalError as exc:
         log.error("numerical failure: %s", exc)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
-        log.error("%s", exc)
-        return EXIT_DATA
-    except (ValueError, KeyError) as exc:
+    except (DataFormatError, FileNotFoundError, ValueError, KeyError) as exc:
         log.error("%s", exc)
         return EXIT_DATA
 

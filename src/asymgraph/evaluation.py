@@ -12,12 +12,10 @@ out-neighbors by default.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import retrieval
 from .coldstart import ColdStartRequest, attach_and_embed, recommend_for_cold
@@ -145,14 +143,10 @@ class MetricReport:
 
     def rows(self) -> list[tuple[str, float]]:
         out = []
-        for k in sorted(self.hitrate, key=str):
-            out.append((f"hitrate@{k}", self.hitrate[k]))
-        for k in sorted(self.mrr, key=str):
-            out.append((f"mrr@{k}", self.mrr[k]))
-        for name in sorted(self.auc):
-            out.append((f"auc_{name}", self.auc[name]))
-        for name in sorted(self.counts):
-            out.append((f"count_{name}", float(self.counts[name])))
+        for prefix, values in (("hitrate@", self.hitrate), ("mrr@", self.mrr),
+                               ("auc_", self.auc), ("count_", self.counts)):
+            out += [(f"{prefix}{k}", float(values[k]))
+                    for k in sorted(values, key=str)]
         return out
 
 
@@ -166,26 +160,12 @@ def rank_queries(index: retrieval.EmbeddingIndex, queries, k: int,
 def _ranks(rankings: dict[int, list[int]], edges: np.ndarray) -> np.ndarray:
     """1-based position of each edge's v in its u's ranking, counting the
     first occurrence; 0 when u has no ranking or v is not in it."""
-    lens = np.fromiter(map(len, rankings.values()), dtype=np.int64,
-                       count=len(rankings))
-    ids = np.fromiter(itertools.chain.from_iterable(rankings.values()),
-                      dtype=np.int64, count=int(lens.sum()))
-    if len(ids) == 0 or len(edges) == 0:
-        return np.zeros(len(edges), dtype=np.int64)
-    q = np.repeat(np.fromiter(rankings.keys(), dtype=np.int64,
-                              count=len(rankings)), lens)
-    pos = np.arange(1, len(ids) + 1) - np.repeat(np.cumsum(lens) - lens, lens)
-    # one int64 key per (query, id), with ids offset into [0, span)
-    lo = min(ids.min(), edges[:, 1].min())
-    span = max(ids.max(), edges[:, 1].max()) - lo + 1
-    keys = q * span + (ids - lo)
-    # a stable sort keeps each query's ids in ranking order, so a left
-    # search lands on an id's first position
-    order = np.argsort(keys, kind="stable")
-    keys, pos = keys[order], pos[order]
-    want = edges[:, 0] * span + (edges[:, 1] - lo)
-    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    return np.where(keys[at] == want, pos[at], 0)
+    first: dict = {}
+    for q, ids in rankings.items():
+        for pos, i in enumerate(ids, 1):
+            first.setdefault((q, i), pos)
+    return np.fromiter((first.get((u, v), 0) for u, v in edges.tolist()),
+                       dtype=np.int64, count=len(edges))
 
 
 def hitrate_mrr(rankings: dict[int, list[int]], test_edges,
@@ -209,15 +189,19 @@ def hitrate_mrr(rankings: dict[int, list[int]], test_edges,
 
 
 def auc_existence(scores_pos, scores_neg) -> float:
-    """Mann-Whitney AUC with ties counted as 0.5."""
+    """Mann-Whitney AUC with ties counted as 0.5; NaN if any score is."""
     pos = np.asarray(scores_pos, dtype=np.float64).reshape(-1)
     neg = np.asarray(scores_neg, dtype=np.float64).reshape(-1)
     if len(pos) == 0 or len(neg) == 0:
         raise ValueError("AUC needs at least one score on each side")
-    ranks = rankdata(np.concatenate([pos, neg]))
-    rank_sum = ranks[: len(pos)].sum()
-    return float((rank_sum - len(pos) * (len(pos) + 1) / 2.0)
-                 / (len(pos) * len(neg)))
+    if np.isnan(pos).any() or np.isnan(neg).any():
+        return math.nan
+    neg = np.sort(neg)
+    below = np.searchsorted(neg, pos, side="left")
+    ties = np.searchsorted(neg, pos, side="right") - below
+    # U counts whole and half wins, so it and the sums are exact
+    u = below.sum() + ties.sum() / 2
+    return float(u / (len(pos) * len(neg)))
 
 
 def relevance_scores(emb: DualEmbeddings, pairs: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from collections import defaultdict
 import numpy as np
 
 import scipy.sparse as sp
+from scipy.stats import rankdata
 
 from asymgraph.errors import DataFormatError, NumericalError
 from asymgraph.graph import DirectedProductGraph, KeyMap
@@ -161,6 +162,19 @@ def brute_auc(pos, neg):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def rankdata_auc(scores_pos, scores_neg) -> float:
+    """The package's earlier `evaluation.auc_existence`: the Mann-Whitney
+    AUC from scipy's average ranks."""
+    pos = np.asarray(scores_pos, dtype=np.float64).reshape(-1)
+    neg = np.asarray(scores_neg, dtype=np.float64).reshape(-1)
+    if len(pos) == 0 or len(neg) == 0:
+        raise ValueError("AUC needs at least one score on each side")
+    ranks = rankdata(np.concatenate([pos, neg]))
+    rank_sum = ranks[: len(pos)].sum()
+    return float((rank_sum - len(pos) * (len(pos) + 1) / 2.0)
+                 / (len(pos) * len(neg)))
 
 
 def loop_sample_rows(adj, nodes, cap, rng):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -14,14 +16,17 @@ from asymgraph.graph import KeyMap, dump_edge_file, dump_feature_file
 PKG_ROOT = Path(__file__).parent.parent
 
 
+def with_src(env):
+    """`env` with the source tree importable without an installed package
+    (an explicit env replaces the parent's)."""
+    src = str(PKG_ROOT / "src")
+    old = env.get("PYTHONPATH")
+    return {**env, "PYTHONPATH": f"{src}:{old}" if old else src}
+
+
 def run_cli(*args, **kw):
-    env = kw.get("env")
-    if env is not None:
-        # an explicit env replaces the parent's, so keep the source tree
-        # importable without an installed package
-        src = str(PKG_ROOT / "src")
-        old = env.get("PYTHONPATH")
-        kw["env"] = {**env, "PYTHONPATH": f"{src}:{old}" if old else src}
+    if kw.get("env") is not None:
+        kw["env"] = with_src(kw["env"])
     return subprocess.run([sys.executable, "-m", "asymgraph", *args],
                           capture_output=True, text=True, cwd=PKG_ROOT, **kw)
 
@@ -54,6 +59,18 @@ def test_missing_required_flag_exits_one():
 def test_unknown_subcommand_exits_one():
     proc = run_cli("frobnicate")
     assert proc.returncode == 1
+
+
+def test_cli_import_loads_no_scipy_stats():
+    """The package needs numpy and scipy.sparse only: scipy.stats alone
+    costs about a second of every command's start-up. A subprocess, since
+    the test oracles load scipy.stats into this one."""
+    code = ("import asymgraph.cli, sys; print(sorted(m for m in sys.modules "
+            "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, cwd=PKG_ROOT, env=with_src(os.environ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_malformed_edge_line_exits_two(tmp_path, workspace):
@@ -246,6 +263,40 @@ def test_eval_command_writes_reports(workspace, trained, tmp_path):
     assert (eval_dir / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("synth", "--seed", "-1"),
+    ("train", "--seed", "-1"),
+    ("train", "--epochs", "0"),
+    ("train", "--split-seed", "-1"),
+    ("recommend", "--k", "0"),
+    ("coldstart", "--k", "0"),
+    ("coldstart", "--k-sim", "0"),
+    ("eval", "--ks", "5,x"),
+    ("eval", "--split-seed", "-1"),
+])
+def test_bad_numeric_flag_is_a_usage_error(workspace, trained, tmp_path,
+                                           capsys, command, flag, value):
+    """A count below 1 or a negative seed exits 1 with argparse's message
+    before any input is read or any output is written."""
+    _root, corpus = workspace
+    edges, features = str(corpus / "edges.tsv"), str(corpus / "features.tsv")
+    out = tmp_path / "out"
+    inputs = {
+        "synth": [],
+        "train": ["--graph", edges, "--features", features],
+        "recommend": ["--index", str(trained), "--query", "c00m000"],
+        "coldstart": ["--model", str(trained), "--features", features,
+                      "--cold", features],
+        "eval": ["--task", "node-rec", "--model", str(trained),
+                 "--graph", edges, "--features", features],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *inputs, flag, value, "--out", str(out)])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_file_exits_two(tmp_path):
     proc = run_cli("build-graph", "--edges", str(tmp_path / "ghost.tsv"),
                    "--out", str(tmp_path / "o"))
@@ -426,3 +477,77 @@ def test_pipeline_rerun_is_byte_identical(tmp_path):
     for name in first:
         if not name.endswith(("manifest.json", "train_log.tsv")):
             assert first[name] == second[name], name
+
+
+# --- the default corpus's pipeline, pinned ------------------------------
+
+PIPELINE_2K = r"""
+import sys
+from pathlib import Path
+
+from asymgraph import evaluation
+from asymgraph.cli import main
+
+root = Path(sys.argv[1])
+corpus, model = root / "corpus", root / "model"
+edges, features = corpus / "edges.tsv", corpus / "features.tsv"
+
+
+def run(*args):
+    assert main([str(a) for a in args]) == 0, args
+
+
+run("synth", "--seed", 1, "--out", corpus)
+run("train", "--graph", edges, "--features", features, "--epochs", 1,
+    "--out", model)
+run("embed", "--model", model, "--graph", edges, "--features", features,
+    "--out", root / "index")
+rows = features.read_text().splitlines()[1:]
+(root / "keys.txt").write_text("".join(r.split("\t")[0] + "\n"
+                                       for r in rows[:200]))
+run("recommend", "--index", root / "index", "--query", root / "keys.txt",
+    "--filter", "exclude_train_neighbors", "--out", root / "recs.tsv")
+dim = len(rows[0].split("\t")[1].split(","))
+(root / "cold.tsv").write_text(f"20\t{dim}\n" + "".join(
+    f"cold{i}\t{r.split(chr(9))[1]}\n" for i, r in enumerate(rows[-20:])))
+run("coldstart", "--model", model, "--features", features,
+    "--cold", root / "cold.tsv", "--out", root / "cold_recs.tsv")
+for task in evaluation.TASKS:
+    run("eval", "--task", task, "--model", model, "--graph", edges,
+        "--features", features, "--out", root / f"eval-{task}")
+"""
+
+# sha256 of the 2k pipeline's text outputs with BLAS on one thread. The
+# embeddings and the checkpoint are not pinned: their bits depend on the
+# BLAS kernel, where these outputs round them away.
+PIPELINE_2K_SHA256 = {
+    "recs.tsv":
+        "b1e4fdf777e850dbb20a04d169b1e43a495fa87991eebf2dd1b3325dad53886e",
+    "cold_recs.tsv":
+        "b3bfd7c441350816e822f0c90764e4a8967ee6d6f0c9c8d4adbce51c9b632362",
+    "eval-node-rec/metrics.tsv":
+        "5abebb67a95a558c99b7d49e29cf324900facd2ea65dd0c2c3de2f88790c78aa",
+    "eval-lp-exist/metrics.tsv":
+        "eabde1bf8e748904e19827002d67e9308a5c435f0b7073c5071ad47f312858fd",
+    "eval-lp-dir/metrics.tsv":
+        "b43778cca1a37689f6838e9961472d8f56ffd7a9feff8b1b3cd2847cae092c1a",
+    "eval-coldstart/metrics.tsv":
+        "c05edfbd91515dd86b8788a780038bfa4b046be523d11ad4df2b35ace29de73e",
+    "eval-selection-bias/metrics.tsv":
+        "2178a54ad1f9ccd776ca981a4406eadb5226ec40350aa72119ba5ebe0e75e6f2",
+}
+
+
+def test_default_corpus_pipeline_outputs_are_pinned(tmp_path):
+    """synth --seed 1, train --epochs 1, embed, recommend over 200 keys,
+    coldstart over 20 cold rows and all five eval tasks, in one process,
+    write the pinned bytes."""
+    env = with_src({**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                    "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+    proc = subprocess.run([sys.executable, "-c", PIPELINE_2K, str(tmp_path)],
+                          capture_output=True, text=True, cwd=PKG_ROOT,
+                          env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PIPELINE_2K_SHA256}
+    assert got == PIPELINE_2K_SHA256

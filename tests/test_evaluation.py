@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -12,7 +14,7 @@ from asymgraph.graph import build_graph, has_cp_edges
 from asymgraph.model import DualEmbeddings
 from asymgraph.util import STREAM_EVAL, derive_rng
 from reference import (brute_auc, brute_hitrate_mrr, loop_sample_non_edges,
-                       loop_selection_bias_split)
+                       loop_selection_bias_split, rankdata_auc)
 
 
 class TestSplits:
@@ -185,16 +187,22 @@ class TestMetrics:
                max_size=5),
            edges=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 14)),
                           max_size=25),
-           ks=st.lists(st.integers(1, 12), min_size=1, max_size=3))
+           ks=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+           int_type=st.sampled_from([int, np.int64, np.int32, np.uint8]))
     # v above every ranked id must not alias another query's entry
-    @example(rankings={1: [0]}, edges=[(0, 1)], ks=[1])
-    # long enough that only a stable sort keeps repeats in ranking order
-    @example(rankings={0: [1, 2] * 20}, edges=[(0, 2)], ks=[5])
+    @example(rankings={1: [0]}, edges=[(0, 1)], ks=[1], int_type=int)
+    # long enough that a repeat's later positions must not count
+    @example(rankings={0: [1, 2] * 20}, edges=[(0, 2)], ks=[5], int_type=int)
+    @example(rankings={0: [3, 1, 3], 2: []}, edges=[(0, 3), (2, 3), (0, 1)],
+             ks=[2], int_type=np.int64)
     def test_hitrate_mrr_matches_brute_force_property(self, rankings, edges,
-                                                      ks):
+                                                      ks, int_type):
         """Repeated queries, ids missing from a ranking or repeated in
-        one, queries with no ranking (ids 7-8) and empty rankings all
-        score exactly as the per-edge list.index oracle does."""
+        one, queries with no ranking (ids 7-8), empty rankings and
+        rankings keyed and filled with numpy integers all score exactly
+        as the per-edge list.index oracle does."""
+        rankings = {int_type(q): [int_type(i) for i in ids]
+                    for q, ids in rankings.items()}
         report = hitrate_mrr(rankings, edges, ks)
         for k in ks:
             hr, mrr = brute_hitrate_mrr(rankings, edges, k)
@@ -230,6 +238,27 @@ class TestMetrics:
             neg = np.round(rng.normal(size=rng.integers(1, 20)), 1)
             assert auc_existence(pos, neg) == pytest.approx(
                 brute_auc(pos, neg), abs=1e-12)
+
+    # a few values, so ties are common, with both zeros, both infinities
+    # and NaN; and any float
+    _auc_scores = st.lists(
+        st.sampled_from([-math.inf, -1.5, -0.0, 0.0, 0.25, 1.0, math.inf,
+                         math.nan]) | st.floats(), min_size=1, max_size=30)
+
+    @given(pos=_auc_scores, neg=_auc_scores)
+    @example(pos=[1.0] * 7, neg=[1.0] * 5 + [0.5, 2.0])          # heavy ties
+    @example(pos=[0.3], neg=[0.3])                        # one score a side
+    @example(pos=[0.3], neg=[-0.7])
+    @example(pos=[math.inf, 1.0], neg=[math.inf, -math.inf])
+    @example(pos=[-math.inf], neg=[-math.inf, 0.0])
+    @example(pos=[-0.0, 0.0], neg=[0.0, -0.0, 1.0])
+    @example(pos=[math.nan, 1.0], neg=[0.0])
+    @example(pos=[1.0], neg=[0.0, math.nan])
+    def test_auc_matches_rankdata_bitwise(self, pos, neg):
+        """The sort-and-search U equals the average-rank formula bit for
+        bit, and a NaN on either side gives NaN as it does there."""
+        got, want = auc_existence(pos, neg), rankdata_auc(pos, neg)
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
     def test_auc_direction_perfect_and_tied(self):
         g = build_graph([(0, 1), (2, 3)], [], 4)
