@@ -155,7 +155,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     write_manifest(out, "train", dataclasses.asdict(cfg),
                    {"root_seed": cfg.root_seed, "split_seed": args.split_seed,
-                    "split": args.split},
+                    "split": args.split, "no_coview": args.no_coview},
                    {"graph": args.graph, "features": args.features,
                     "config": args.config})
     formats.save_config(cfg, out / "config.txt")
@@ -223,11 +223,11 @@ def cmd_recommend(args) -> int:
     if unknown:
         raise DataFormatError(f"unknown product keys: {unknown[:5]}")
     ids = [km.id_of(k) for k in keys]
-    entries = retrieval.batch_recommend(index, ids, args.k,
-                                        filter=args.filter, mode=args.mode)
+    rankings = retrieval.batch_recommend(index, ids, args.k,
+                                         filter=args.filter, mode=args.mode)
     with _output(args.out) as out:
-        for key, entry in zip(keys, entries):
-            _emit_recommendations(out, key, entry.results, km)
+        for key, results in zip(keys, rankings):
+            _emit_recommendations(out, key, results, km)
     return EXIT_OK
 
 
@@ -330,7 +330,7 @@ def build_parser() -> _Parser:
                    help="directory with embeddings.tsv (and graph.tsv)")
     p.add_argument("--query", required=True, help="product key or file of keys")
     p.add_argument("--k", type=_positive, default=10)
-    p.add_argument("--mode", choices=["related", "similar"], default="related")
+    p.add_argument("--mode", choices=list(retrieval.MODES), default="related")
     p.add_argument("--filter", choices=list(retrieval.FILTERS), default="none")
     p.add_argument("--out", help="output TSV (default stdout)")
     p.set_defaults(fn=cmd_recommend)

@@ -10,7 +10,6 @@ cannot interact.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,12 +102,6 @@ def recommend_for_cold(theta_s_cold: np.ndarray,
                        exclude=None) -> list[tuple[int, float]]:
     """Rank warm products for a cold query vector, as a 1-row block of
     related-product retrieval, with an optional id exclusion list."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not np.any(theta_s_cold):
-        warnings.warn("cold product has a zero embedding; returning no results",
-                      stacklevel=2)
-        return []
     excl = np.asarray([] if exclude is None else exclude, dtype=np.int64)
     return retrieval.rank_vectors(index, theta_s_cold[None, :], k,
                                   np.zeros_like(excl), excl)[0]

@@ -153,8 +153,8 @@ class MetricReport:
 def rank_queries(index: retrieval.EmbeddingIndex, queries, k: int,
                  filter: str = "exclude_train_neighbors") -> dict[int, list[int]]:
     """Top-k ranked ids per query with the standard exclusion filter."""
-    entries = retrieval.batch_recommend(index, queries, k, filter=filter)
-    return {e.query: [i for i, _ in e.results] for e in entries}
+    results = retrieval.batch_recommend(index, queries, k, filter=filter)
+    return {int(q): [i for i, _ in res] for q, res in zip(queries, results)}
 
 
 def _ranks(rankings: dict[int, list[int]], edges: np.ndarray) -> np.ndarray:

@@ -252,11 +252,6 @@ def one_way_mask(g: DirectedProductGraph, edges: np.ndarray) -> np.ndarray:
     return ~has_cp_edges(g, edges[:, 1], edges[:, 0])
 
 
-def one_way_cp_edges(g: DirectedProductGraph) -> np.ndarray:
-    """Co-purchase edges whose reverse is absent, sorted by (u, v)."""
-    return g.cp_edges[one_way_mask(g, g.cp_edges)]
-
-
 @dataclass(frozen=True)
 class GraphStats:
     num_nodes: int
@@ -275,7 +270,7 @@ def graph_stats(g: DirectedProductGraph) -> GraphStats:
     per node; one_way_pair_share is the fraction of distinct co-purchase
     pairs connected in exactly one direction.
     """
-    one_way = len(one_way_cp_edges(g))
+    one_way = np.count_nonzero(one_way_mask(g, g.cp_edges))
     pairs = one_way + (g.num_cp_edges - one_way) // 2
     total_directed = g.num_cp_edges + g.num_cv_edges
     return GraphStats(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,6 +24,7 @@ from .graph import DirectedProductGraph
 from .model import DualEmbeddings
 
 FILTERS = ("none", "exclude_query", "exclude_train_neighbors")
+MODES = ("related", "similar")
 
 # Score-block budget: rows per block = this many bytes of float64 scores
 # over the catalogue. Larger blocks gain little and raise the peak memory.
@@ -50,10 +51,6 @@ class EmbeddingIndex:
     def build(cls, emb: DualEmbeddings,
               graph: DirectedProductGraph | None = None) -> "EmbeddingIndex":
         return cls(theta_s=emb.theta_s, theta_t=emb.theta_t, graph=graph)
-
-    def _check_query(self, q: int) -> None:
-        if not 0 <= q < self.num_products:
-            raise KeyError(f"unknown product id {q}")
 
 
 def canonical_scores(target: np.ndarray, ids, vecs) -> np.ndarray:
@@ -92,7 +89,10 @@ def top_k_by_score(scores: np.ndarray, k: int, exclude_rows: np.ndarray,
 def rank_vectors(index: EmbeddingIndex, vecs: np.ndarray, k: int,
                  exclude_rows: np.ndarray, exclude_ids: np.ndarray,
                  related: bool = True) -> list[list[tuple[int, float]]]:
-    """Best k (id, canonical score) of each query vector in a block."""
+    """Best k (id, canonical score) of each query vector in a block; a zero
+    query vector warns and gets no results."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     target = index.theta_t if related else index.theta_s
     d, u, tiny = target.shape[1], 2.0 ** -53, 2.0 ** -511
     # delta at the block's largest |q|, doubled to round it up: norms, delta
@@ -100,9 +100,14 @@ def rank_vectors(index: EmbeddingIndex, vecs: np.ndarray, k: int,
     delta = 8 * d * u / (1 - d * u) * (index.max_norms[related] + d * tiny) \
         * (math.sqrt((vecs * vecs).sum(axis=1).max(initial=0.0)) + d * tiny) \
         + 4 * d * 2.0 ** -1074
-    return top_k_by_score(
+    results = top_k_by_score(
         vecs @ target.T, k, exclude_rows, exclude_ids, delta,
         lambda rows, ids: canonical_scores(target, ids, vecs.take(rows, 0)))
+    for i in np.flatnonzero(~vecs.any(axis=1)):
+        warnings.warn("a query has a zero embedding; returning no results "
+                      "for it", stacklevel=2)
+        results[i] = []
+    return results
 
 
 def _exclusions(index: EmbeddingIndex, qs: np.ndarray,
@@ -126,58 +131,32 @@ def _exclusions(index: EmbeddingIndex, qs: np.ndarray,
 def _rank(index: EmbeddingIndex, qs: np.ndarray, k: int, filter: str,
           related: bool) -> list[list[tuple[int, float]]]:
     """Rankings for a block of known query ids."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    vecs = index.theta_s[qs]
-    results = rank_vectors(index, vecs, k, *_exclusions(index, qs, filter),
-                           related)
-    for i in np.flatnonzero(~vecs.any(axis=1)):
-        warnings.warn(f"query {qs[i]} has a zero embedding; returning no "
-                      "results", stacklevel=3)
-        results[i] = []
-    return results
+    return rank_vectors(index, index.theta_s[qs], k,
+                        *_exclusions(index, qs, filter), related)
 
 
 def recommend_related(index: EmbeddingIndex, q: int, k: int,
                       filter: str = "none") -> list[tuple[int, float]]:
     """Top-k related products for query q by source(q) . target(v)."""
-    index._check_query(q)
+    if not 0 <= q < index.num_products:
+        raise KeyError(f"unknown product id {q}")
     return _rank(index, np.array([q]), k, filter, True)[0]
-
-
-def recommend_similar(index: EmbeddingIndex, q: int, k: int,
-                      filter: str = "exclude_query") -> list[tuple[int, float]]:
-    """Top-k similar products by source(q) . source(v); the query itself
-    is excluded by default since a unit vector is its own argmax."""
-    index._check_query(q)
-    return _rank(index, np.array([q]), k, filter, False)[0]
-
-
-@dataclass
-class BatchEntry:
-    query: int
-    results: list[tuple[int, float]] = field(default_factory=list)
-    error: str | None = None
 
 
 def batch_recommend(index: EmbeddingIndex, queries, k: int,
                     filter: str = "none",
-                    mode: str = "related") -> list[BatchEntry]:
-    """Per-query recommendations, ranked in blocks of SCORE_BLOCK_BYTES;
-    unknown ids become per-query error entries while the rest proceed."""
-    related = mode == "related"
-    entries = [BatchEntry(query=int(q)) for q in queries]
-    known = []
-    for e in entries:
-        try:
-            index._check_query(e.query)
-            known.append(e)
-        except KeyError as exc:
-            e.error = str(exc)
+                    mode: str = "related") -> list[list[tuple[int, float]]]:
+    """One top-k (id, score) list per query, in query order, ranked in
+    blocks of SCORE_BLOCK_BYTES. Mode "related" scores source(q) . target(v)
+    and "similar" source(q) . source(v); a similar ranking keeps q itself
+    unless the filter removes it."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    qs = np.asarray(queries, dtype=np.int64)
+    unknown = qs[(qs < 0) | (qs >= index.num_products)]
+    if len(unknown):
+        raise KeyError(f"unknown product ids {unknown[:5].tolist()}")
     step = max(1, SCORE_BLOCK_BYTES // (8 * max(index.num_products, 1)))
-    for start in range(0, len(known), step):
-        block = known[start:start + step]
-        qs = np.array([e.query for e in block], dtype=np.int64)
-        for e, res in zip(block, _rank(index, qs, k, filter, related)):
-            e.results = res
-    return entries
+    return [res for start in range(0, len(qs), step)
+            for res in _rank(index, qs[start:start + step], k, filter,
+                             mode == "related")]

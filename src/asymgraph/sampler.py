@@ -27,8 +27,6 @@ import numpy as np
 from .graph import DirectedProductGraph, has_cp_edges
 from .util import derive_rng
 
-DEFAULT_FANOUTS = (20, 10, 10)
-
 SOURCE = "s"
 TARGET = "t"
 

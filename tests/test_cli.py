@@ -406,24 +406,30 @@ def test_resume_with_more_epochs_matches_straight_run(one_epoch, tmp_path):
 
 def test_train_splits_on_the_seed_eval_defaults_to(workspace, tmp_path):
     """`train --seed 5` without `--split-seed` holds out the edges that
-    `eval` (split seed 0 by default) scores, not those of split seed 5."""
+    `eval` (split seed 0 by default) scores, not those of split seed 5;
+    the manifest records the split seed and whether co-view was dropped."""
     root, corpus = workspace
     edges, features = corpus / "edges.tsv", corpus / "features.tsv"
-    cfg, out = tmp_path / "train.cfg", tmp_path / "model"
+    cfg = tmp_path / "train.cfg"
     cfg.write_text(RESUME_CFG)
-    assert cli.main(["train", "--graph", str(edges), "--features",
-                     str(features), "--config", str(cfg), "--out", str(out),
-                     "--seed", "5", "--epochs", "1"]) == 0
     eval_default = cli.build_parser().parse_args(
         ["eval", "--task", "node-rec", "--model", "m", "--graph", "g",
          "--features", "f", "--out", "o"]).split_seed
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seeds"]["split_seed"] == eval_default
     g, _features, km = cli._load_graph(edges, features)
     split = evaluation.make_edge_split(g, seed=eval_default)
-    dump_edge_file(evaluation.train_graph(g, split), km, tmp_path / "want.tsv")
-    assert (out / "graph.tsv").read_bytes() == \
-        (tmp_path / "want.tsv").read_bytes()
+    for no_coview in (False, True):
+        out, want = tmp_path / f"model{no_coview}", tmp_path / "want.tsv"
+        assert cli.main(["train", "--graph", str(edges), "--features",
+                         str(features), "--config", str(cfg), "--out",
+                         str(out), "--seed", "5", "--epochs", "1"]
+                        + ["--no-coview"] * no_coview) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seeds"]["split_seed"] == eval_default
+        assert manifest["seeds"]["no_coview"] is no_coview
+        dump_edge_file(evaluation.train_graph(g, split,
+                                              use_coview=not no_coview),
+                       km, want)
+        assert (out / "graph.tsv").read_bytes() == want.read_bytes()
 
 
 # --- rerun determinism, in process --------------------------------------

@@ -190,3 +190,5 @@ def test_recommend_for_cold_contract(random_graph):
     assert top1[0][0] == best
     with pytest.warns(UserWarning, match="zero embedding"):
         assert recommend_for_cold(np.zeros(4), index, 5) == []
+    with pytest.raises(ValueError, match="k must"):
+        recommend_for_cold(theta_s, index, 0)

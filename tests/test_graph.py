@@ -7,7 +7,7 @@ from asymgraph.errors import DataFormatError
 from asymgraph.graph import (KeyMap, _sorted_distinct, attach_node,
                              build_graph, dump_edge_file, graph_stats,
                              load_edge_file, load_feature_file,
-                             one_way_cp_edges, one_way_mask, dump_feature_file,
+                             one_way_mask, dump_feature_file,
                              transitive_pairs)
 from reference import (loop_one_way_mask, loop_transitive_pairs,
                        sort_build_graph)
@@ -61,17 +61,18 @@ def test_dedup_and_self_loop():
 
 def test_one_way_excludes_reciprocal():
     g = build_graph([(0, 1), (1, 0), (0, 2)], [], 3)
-    assert one_way_cp_edges(g).tolist() == [[0, 2]]
+    assert g.cp_edges[one_way_mask(g, g.cp_edges)].tolist() == [[0, 2]]
 
 
 def test_one_way_empty():
     g = build_graph([], [], 3)
-    assert len(one_way_cp_edges(g)) == 0
+    assert len(g.cp_edges[one_way_mask(g, g.cp_edges)]) == 0
 
 
 def test_one_way_cycle():
     g = build_graph([(0, 1), (1, 2), (2, 0)], [], 3)
-    assert one_way_cp_edges(g).tolist() == [[0, 1], [1, 2], [2, 0]]
+    assert g.cp_edges[one_way_mask(g, g.cp_edges)].tolist() == \
+        [[0, 1], [1, 2], [2, 0]]
 
 
 def test_one_way_mask_matches_loop_oracle(random_graph):
@@ -200,7 +201,7 @@ def test_one_way_union_reciprocal_is_cp():
     rng = np.random.default_rng(5)
     cp = rng.integers(0, 12, size=(50, 2))
     g = build_graph(cp[cp[:, 0] != cp[:, 1]], [], 12)
-    one_way = {tuple(e) for e in one_way_cp_edges(g)}
+    one_way = {tuple(e) for e in g.cp_edges[one_way_mask(g, g.cp_edges)]}
     reciprocal = {tuple(e) for e in g.cp_edges} - one_way
     for u, v in reciprocal:
         assert (v, u) in reciprocal

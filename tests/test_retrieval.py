@@ -1,3 +1,4 @@
+import re
 import warnings
 from unittest import mock
 
@@ -12,7 +13,7 @@ from asymgraph.graph import build_graph
 from asymgraph.model import DualEmbeddings
 from asymgraph.retrieval import (EmbeddingIndex, batch_recommend,
                                  canonical_scores, recommend_related,
-                                 recommend_similar, top_k_by_score)
+                                 top_k_by_score)
 from reference import brute_top_k, gemv_rank, lexsort_top_k
 
 
@@ -66,11 +67,11 @@ def test_unknown_query_raises():
 def test_similar_self_rank_one_without_filter():
     theta_s = unit_rows(np.random.default_rng(1).normal(size=(6, 4)))
     index = make_index(theta_s, theta_s)
-    results = recommend_similar(index, 2, 3, filter="none")
+    results = batch_recommend(index, [2], 3, filter="none", mode="similar")[0]
     assert results[0][0] == 2
     assert results[0][1] == pytest.approx(1.0)
-    # default filter drops the query itself
-    filtered = recommend_similar(index, 2, 3)
+    filtered = batch_recommend(index, [2], 3, filter="exclude_query",
+                               mode="similar")[0]
     assert all(i != 2 for i, _ in filtered)
 
 
@@ -78,7 +79,7 @@ def test_tie_break_by_id():
     row = np.array([0.6, 0.8])
     theta_s = np.stack([row, row, row])
     index = make_index(theta_s, theta_s)
-    results = recommend_similar(index, 0, 3, filter="none")
+    results = batch_recommend(index, [0], 3, filter="none", mode="similar")[0]
     assert [i for i, _ in results] == [0, 1, 2]
     assert all(s == pytest.approx(1.0) for _, s in results)
 
@@ -86,7 +87,8 @@ def test_tie_break_by_id():
 def test_orthogonal_rows_rank_by_id():
     theta_s = np.eye(4)
     index = make_index(theta_s, theta_s)
-    results = recommend_similar(index, 0, 4, filter="exclude_query")
+    results = batch_recommend(index, [0], 4, filter="exclude_query",
+                              mode="similar")[0]
     assert [i for i, _ in results] == [1, 2, 3]
     assert all(s == pytest.approx(0.0) for _, s in results)
 
@@ -109,20 +111,23 @@ def test_batch_matches_single_calls():
     theta_t = unit_rows(rng.normal(size=(30, 6)))
     index = make_index(theta_s, theta_t)
     queries = [0, 7, 7, 21]
-    entries = batch_recommend(index, queries, 5)
-    assert [e.query for e in entries] == queries
-    for e in entries:
-        assert e.results == recommend_related(index, e.query, 5)
-    assert entries[1].results == entries[2].results
+    rankings = batch_recommend(index, queries, 5)
+    assert len(rankings) == len(queries)
+    for q, results in zip(queries, rankings):
+        assert results == recommend_related(index, q, 5)
+    assert rankings[1] == rankings[2]
 
 
-def test_batch_reports_per_query_errors():
+def test_batch_rejects_bad_input():
     theta = unit_rows(np.random.default_rng(6).normal(size=(4, 3)))
     index = make_index(theta, theta)
-    entries = batch_recommend(index, [0, 99, 2], 2)
-    assert entries[0].error is None
-    assert entries[1].error is not None and "99" in entries[1].error
-    assert entries[2].error is None
+    for queries, unknown in (([0, 99, 2], "99"), ([0, -1], "-1")):
+        with pytest.raises(KeyError, match=unknown):
+            batch_recommend(index, queries, 2)
+    with pytest.raises(ValueError, match="mode"):
+        batch_recommend(index, [0], 2, mode="relatd")
+    with pytest.raises(ValueError, match="k must"):
+        batch_recommend(index, [0], 0)
     assert batch_recommend(index, [], 2) == []
 
 
@@ -206,16 +211,17 @@ def test_batch_matches_oracle_for_every_block_size(case):
     n = len(theta_s)
     known = [q for q in queries if 0 <= q < n]
     want = [_oracle_ranking(index, q, k, filter, mode) for q in known]
+    unknown = [q for q in queries if not 0 <= q < n]
+    if unknown:
+        with pytest.raises(KeyError, match=re.escape(str(unknown[:5]))):
+            batch_recommend(index, queries, k, filter=filter, mode=mode)
     for budget in (1, 3 * 8 * n, retrieval.SCORE_BLOCK_BYTES):
         with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", budget), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            entries = batch_recommend(index, queries, k, filter=filter,
-                                      mode=mode)
-        assert [e.query for e in entries] == queries
-        assert [e.error is None for e in entries] == \
-            [0 <= q < n for q in queries]
-        assert [e.results for e in entries if e.error is None] == want
+            rankings = batch_recommend(index, known, k, filter=filter,
+                                       mode=mode)
+        assert rankings == want
         zero = sum(not np.any(theta_s[q]) for q in known)
         assert sum("zero embedding" in str(w.message) for w in caught) == zero
 
@@ -273,8 +279,8 @@ def test_near_ties_match_canonical_brute_force(case):
         warnings.simplefilter("ignore")
         for budget in (1, 3 * 8 * n, retrieval.SCORE_BLOCK_BYTES):
             with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", budget):
-                got = [e.results for e in batch_recommend(
-                    index, queries, k, filter=filter, mode=mode)]
+                got = batch_recommend(index, queries, k, filter=filter,
+                                      mode=mode)
             assert _bits(got) == _bits(want)
         gemv = gemv_rank(index, np.array(queries), k + 1, filter, target)
     u, tiny = np.finfo(np.float64).eps / 2, d * 2.0 ** -511
