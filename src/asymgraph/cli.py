@@ -19,8 +19,8 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, evaluation, formats, retrieval, synth, trainer
-from .coldstart import ColdStartRequest, attach_and_embed, recommend_for_cold
+from . import (BLAS_THREAD_VARS, __version__, coldstart, evaluation, formats,
+               retrieval, synth, trainer)
 from .errors import DataFormatError, NumericalError
 from .graph import (build_graph, dump_edge_file, graph_stats, load_edge_file,
                     load_feature_file)
@@ -83,6 +83,7 @@ def write_manifest(out_dir: Path, command: str, config: dict,
         "input_digests": {name: sha256_file(p) for name, p in inputs.items()
                           if p and Path(p).exists()},
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -236,18 +237,25 @@ def cmd_coldstart(args) -> int:
     g, features, km = _load_graph(graph_path, args.features)
     params = load_checkpoint(Path(args.model) / "model.ckpt")
     cold_features, cold_km = load_feature_file(args.cold)
+    # every cold row is checked before anything is embedded or written
+    if cold_features.shape[1] != features.shape[1]:
+        raise DataFormatError(f"{args.cold}: {cold_features.shape[1]} "
+                              f"features a row, not {features.shape[1]}")
+    if not cold_features.any(axis=1).all():
+        key = cold_km.key_of(int(cold_features.any(axis=1).argmin()))
+        line = next(i for i, s in formats.text_lines(args.cold)
+                    if i > 1 and s.split("\t", 1)[0] == key)
+        raise DataFormatError(f"{args.cold}: cold-start feature vector of "
+                              f"{key!r} on line {line} is all zeros")
     emb = embed_all(g, features, params)
     index = retrieval.EmbeddingIndex.build(emb, graph=g)
     with _output(args.out) as out:
-        for i in range(len(cold_km)):
-            req = ColdStartRequest(key=cold_km.key_of(i),
-                                   features=cold_features[i],
-                                   k_sim=args.k_sim)
-            theta_s, _theta_t, warm = attach_and_embed(g, features, params, req)
-            results = recommend_for_cold(theta_s, index, args.k)
-            log.debug("cold %s attached to %s", req.key,
-                      [km.key_of(int(w)) for w in warm])
-            _emit_recommendations(out, req.key, results, km)
+        for start, recs, warm in coldstart.recommend_cold_blocks(
+                g, features, params, index, cold_features, args.k, args.k_sim):
+            for i, (results, ids) in enumerate(zip(recs, warm), start):
+                log.debug("cold %s attached to %s", cold_km.key_of(i),
+                          [km.key_of(int(w)) for w in ids])
+                _emit_recommendations(out, cold_km.key_of(i), results, km)
     return EXIT_OK
 
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import retrieval
-from .coldstart import ColdStartRequest, attach_and_embed, recommend_for_cold
+from . import coldstart, retrieval
 from .graph import (DirectedProductGraph, build_graph, has_cp_edges,
                     one_way_mask, transitive_pairs)
 from .model import DualEmbeddings, ModelParams, embed_all
@@ -310,23 +309,18 @@ def run_task(task: str, g: DirectedProductGraph, features: np.ndarray,
     index = retrieval.EmbeddingIndex.build(emb, graph=g_train)
     train_set = np.zeros(g.num_nodes, dtype=bool)
     train_set[split.train_nodes] = True
-    non_train = np.flatnonzero(~train_set)
-    rankings: dict[int, list[int]] = {}
-    test_edges = []
-    k_max = max(ks)
-    for c in split.test_nodes:
-        targets = [int(v) for v in g.cp_out.neighbors(int(c)) if train_set[v]]
-        if not targets:
-            continue
-        req = ColdStartRequest(key=f"cold-{c}", features=features[int(c)],
-                               k_sim=k_sim)
-        theta_s, _theta_t, _warm = attach_and_embed(
-            g_train, features, params, req, eligible=split.train_nodes)
-        recs = recommend_for_cold(theta_s, index, k_max, exclude=non_train)
-        rankings[int(c)] = [i for i, _ in recs]
-        test_edges.extend((int(c), v) for v in targets)
-    if not test_edges:
+    deg, targets = g.cp_out.rows(split.test_nodes)
+    test_edges = np.stack([np.repeat(split.test_nodes, deg), targets],
+                          axis=1)[train_set[targets]]
+    if not len(test_edges):
         raise ValueError("node split produced no evaluable cold-start edges")
-    report = hitrate_mrr(rankings, np.asarray(test_edges), ks)
+    cold = np.unique(test_edges[:, 0])
+    rankings: dict[int, list[int]] = {}
+    for start, recs, _warm in coldstart.recommend_cold_blocks(
+            g_train, features, params, index, features[cold], max(ks), k_sim,
+            split.train_nodes, np.flatnonzero(~train_set)):
+        rankings.update((int(c), [i for i, _ in r])
+                        for c, r in zip(cold[start:], recs))
+    report = hitrate_mrr(rankings, test_edges, ks)
     report.counts["cold_queries"] = len(rankings)
     return report

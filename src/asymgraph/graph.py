@@ -174,50 +174,6 @@ def build_graph(cp_pairs, cv_pairs, num_nodes: int) -> DirectedProductGraph:
     )
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    v = a.view()
-    v.flags.writeable = False
-    return v
-
-
-def _splice(adj: Adjacency, nbrs: np.ndarray) -> Adjacency:
-    """Add node n = len(indptr) - 1 with symmetric neighbors `nbrs`
-    (sorted, distinct): append n to each of their rows and append row n
-    holding `nbrs`.
-
-    n exceeds every stored id, so it belongs at the end of each row it
-    joins. With no neighbors, the indices are shared read-only.
-    """
-    n = len(adj.indptr) - 1
-    if len(nbrs) == 0:
-        return Adjacency(np.append(adj.indptr, adj.indptr[-1]),
-                         _read_only(adj.indices))
-    indptr = adj.indptr.copy()
-    indptr[1:] += np.cumsum(np.bincount(nbrs, minlength=n))
-    indices = np.insert(adj.indices, adj.indptr[nbrs + 1], n)
-    return Adjacency(np.append(indptr, indptr[-1] + len(nbrs)),
-                     np.concatenate([indices, nbrs]))
-
-
-def attach_node(g: DirectedProductGraph, cv_nbrs) -> DirectedProductGraph:
-    """The graph plus one new node n = g.num_nodes, without a rebuild.
-
-    The new node gets co-view pairs with `cv_nbrs` and no co-purchase
-    edges. Every array equals what `build_graph` gives for the extended
-    pair lists; the co-purchase indices are shared with `g` as read-only
-    views, and `g` itself is untouched.
-    """
-    n = g.num_nodes
-    w = np.unique(np.asarray(cv_nbrs, dtype=np.int64))
-    if len(w) and (w[0] < 0 or w[-1] >= n):
-        raise DataFormatError(f"co-view neighbor id outside [0, {n})")
-    none = np.empty(0, dtype=np.int64)
-    return DirectedProductGraph(num_nodes=n + 1,
-                                cp_out=_splice(g.cp_out, none),
-                                cp_in=_splice(g.cp_in, none),
-                                cv_out=_splice(g.cv_out, w))
-
-
 def has_cp_edges(g: DirectedProductGraph, u, v) -> np.ndarray:
     """Elementwise flag: True iff the co-purchase edge u -> v exists.
 

@@ -102,8 +102,10 @@ class DualEmbeddings:
 
 
 def _selection(ptr: np.ndarray, rows: np.ndarray, n_cols: int) -> sp.csr_matrix:
-    data = np.ones(len(rows), dtype=np.float64)
-    return sp.csr_matrix((data, rows, ptr), shape=(len(ptr) - 1, n_cols))
+    # scipy keeps int32 indices where they fit; given them, it sets up faster
+    idx = np.int32 if max(len(rows), n_cols) < 2 ** 31 else np.int64
+    return sp.csr_matrix((np.ones(len(rows)), rows.astype(idx), ptr.astype(idx)),
+                         shape=(len(ptr) - 1, n_cols))
 
 
 @dataclass
@@ -146,6 +148,11 @@ def _layer(sel_cp, p_cp, sel_cv, p_cv, l: int, ch: str) -> tuple:
     return on_cp, on_cv, norms, h
 
 
+def _times(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """h @ w; 1 row runs as 2, as GEMV's bits differ from a GEMM row's."""
+    return h @ w if len(h) != 1 else (np.repeat(h, 2, axis=0) @ w)[:1]
+
+
 def forward(blocks: ComputationBlocks, features: np.ndarray,
             params: ModelParams) -> tuple[DualEmbeddings, Tape]:
     """Embeddings for the block seeds (rows align with blocks.seeds), plus
@@ -161,7 +168,7 @@ def forward(blocks: ComputationBlocks, features: np.ndarray,
     for l in range(1, blocks.num_layers + 1):
         w = params.weights[l - 1]
         # each frontier is transformed once, for the two steps it feeds
-        P = {ch: H[l - 1][ch] @ w for ch in (SOURCE, TARGET)}
+        P = {ch: _times(H[l - 1][ch], w) for ch in (SOURCE, TARGET)}
         out = {}
         for ch in (SOURCE, TARGET):
             blk = blocks.levels[l][ch]

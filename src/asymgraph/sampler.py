@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedProductGraph, has_cp_edges
+from .graph import DirectedProductGraph, _sorted_distinct, has_cp_edges
 from .util import derive_rng
 
 SOURCE = "s"
@@ -87,7 +87,10 @@ def _sample_rows(adj, nodes, cap, rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sorted_ids(num_nodes: int, *ids: np.ndarray) -> np.ndarray:
-    """Sorted distinct ids of the given arrays, via a catalog bitmap."""
+    """Sorted distinct ids of the given arrays, via a catalog bitmap, or by
+    a sort when they are few against a large catalog (a cold block's)."""
+    if 32 * sum(map(len, ids)) + 8192 < num_nodes:
+        return _sorted_distinct(np.concatenate(ids))
     hit = np.zeros(num_nodes, dtype=bool)
     for part in ids:
         hit[part] = True

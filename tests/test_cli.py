@@ -246,6 +246,49 @@ def test_coldstart_command(workspace, trained, tmp_path):
     assert rows and all(r[0] == "newprod" for r in rows)
 
 
+def test_coldstart_bad_row_names_key_and_line_and_writes_nothing(
+        workspace, trained, tmp_path):
+    """An all-zero cold row is refused before any output exists: the
+    message names its key and its line in the cold file."""
+    _root, out = workspace
+    rows = (out / "features.tsv").read_text().splitlines()
+    dim = int(rows[0].split("\t")[1])
+    body = [f"new{i}\t{row.split(chr(9))[1]}" for i, row in enumerate(rows[1:6])]
+    body[3] = "new3\t" + ",".join(["0"] * dim)
+    cold = tmp_path / "cold.tsv"
+    cold.write_text(f"5\t{dim}\n# a comment line\n" + "\n".join(body) + "\n")
+    recs = tmp_path / "cold_recs.tsv"
+    proc = run_cli("coldstart", "--model", str(trained),
+                   "--features", str(out / "features.tsv"),
+                   "--cold", str(cold), "--out", str(recs))
+    assert proc.returncode == 2, proc.stderr
+    assert "'new3'" in proc.stderr and "line 6" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not recs.exists()
+
+
+def test_module_entry_sets_unset_blas_threads_to_one(tmp_path):
+    """`python -m asymgraph` runs BLAS on one thread unless the caller set
+    a count: the package root loads no numpy, so the setting comes first.
+    The manifest records the setting the command ran under."""
+    code = ("import runpy, sys; import asymgraph; "
+            "print('numpy' in sys.modules, flush=True); "
+            "runpy.run_module('asymgraph', run_name='__main__')")
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("num_categories = 2\nproducts_per_category = 10\n")
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "synth", "--config", str(cfg),
+         "--out", str(tmp_path / "out")], capture_output=True, text=True,
+        cwd=PKG_ROOT, env=with_src({**env, "OMP_NUM_THREADS": "2"}))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                        "OMP_NUM_THREADS": "2",
+                                        "MKL_NUM_THREADS": "1"}
+
+
 def test_eval_command_writes_reports(workspace, trained, tmp_path):
     _root, out = workspace
     eval_dir = tmp_path / "eval"

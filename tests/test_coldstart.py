@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from asymgraph import coldstart
 from asymgraph.coldstart import (ColdStartRequest, attach_and_embed,
-                                 find_warm_neighbors, recommend_for_cold)
+                                 embed_cold, find_warm_neighbors,
+                                 recommend_for_cold)
+from asymgraph.evaluation import run_task
 from asymgraph.graph import build_graph
 from asymgraph.model import ModelParams, embed_all
 from asymgraph.retrieval import EmbeddingIndex
@@ -192,3 +196,129 @@ def test_recommend_for_cold_contract(random_graph):
         assert recommend_for_cold(np.zeros(4), index, 5) == []
     with pytest.raises(ValueError, match="k must"):
         recommend_for_cold(theta_s, index, 0)
+
+
+def graph_arrays(g):
+    return [a.copy() for adj in (g.cp_out, g.cp_in, g.cv_out)
+            for a in (adj.indptr, adj.indices)]
+
+
+def assert_block_matches_rebuild(g, X, params, vecs, k_sim, eligible):
+    """Every row of every block, at block sizes 1, 3 and all, equals the
+    one-request rebuild oracle bit for bit, warm ids included, and no
+    block touches the base graph."""
+    before = graph_arrays(g)
+    want = [rebuild_attach_and_embed(g, X, params,
+                                     ColdStartRequest("c", v, k_sim), eligible)
+            for v in vecs]
+    for size in (1, 3, len(vecs)):
+        for start in range(0, len(vecs), size):
+            got = embed_cold(g, X, params, vecs[start:start + size], k_sim,
+                             eligible)
+            for i, row in enumerate(zip(*got), start):
+                for a, b in zip(row, want[i]):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+    for a, b in zip(graph_arrays(g), before):
+        assert np.array_equal(a, b)
+
+
+@st.composite
+def cold_block_cases(draw):
+    """A small graph, features with many cosine ties, and cold rows that
+    copy or perturb warm rows, so requests share warm neighbours and their
+    warm neighbours are often adjacent."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 6))
+    ids = st.integers(0, n - 1)
+    cp = draw(st.lists(st.tuples(ids, ids), max_size=30))
+    cv = draw(st.lists(st.tuples(ids, ids), max_size=20))
+    ints = st.integers(-2, 2).map(float)
+    X = draw(hnp.arrays(np.float64, (n, d), elements=ints))
+    rows = draw(st.lists(st.tuples(ids, st.sampled_from([0.0, 0.5, -0.25])),
+                         min_size=1, max_size=7))
+    vecs = np.array([X[i] + eps for i, eps in rows]).reshape(-1, d)
+    vecs[~vecs.any(axis=1)] = 1.0
+    eligible = draw(st.none() | st.lists(ids, min_size=1, max_size=n)
+                    .map(lambda e: np.array(e, dtype=np.int64)))
+    layers = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 8))
+    return (build_graph(cp, cv, n), X, vecs, draw(st.integers(1, n + 1)),
+            eligible, layers, width, draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@given(cold_block_cases())
+def test_cold_block_rows_match_rebuild_oracle(case):
+    g, X, vecs, k_sim, eligible, layers, width, seed = case
+    params = ModelParams.init(X.shape[1], width, layers,
+                              np.random.default_rng(seed))
+    assert_block_matches_rebuild(g, X, params, vecs, k_sim, eligible)
+
+
+def test_cold_block_on_corpus_matches_rebuild_oracle(mini_corpus):
+    """Realistic widths: cold rows near warm products, repeated rows
+    (identical warm sets) and rows near co-view partners (adjacent warm
+    neighbours), with and without an eligible subset."""
+    _cfg, data, g = mini_corpus
+    X = data.features
+    rng = np.random.default_rng(12)
+    params = ModelParams.init(X.shape[1], 16, 3, rng)
+    pair = g.cv_pairs[0]
+    nodes = [0, 17, 42, 42, 77, 101, int(pair[0]), int(pair[1])]
+    vecs = X[nodes] + 0.1 * rng.normal(size=(len(nodes), X.shape[1]))
+    vecs[3] = vecs[2]
+    for eligible in (None, np.arange(0, g.num_nodes, 2)):
+        assert_block_matches_rebuild(g, X, params, vecs, 5, eligible)
+
+
+def test_cold_block_rejects_bad_input(random_graph):
+    g, X = random_graph(num_nodes=10, seed=7)
+    params = ModelParams.init(5, 4, 2, np.random.default_rng(0))
+    good = X[:2] + 0.1
+    for vecs, match in ((good * [[1], [0]], "zeros"), (good[:0], None),
+                        (np.full((1, 5), np.inf), "finite"),
+                        (good[:, :4], "dim mismatch")):
+        with pytest.raises(ValueError, match=match):
+            embed_cold(g, X, params, vecs)
+    with pytest.raises(ValueError, match="feature rows"):
+        embed_cold(g, X[:9], params, good)
+    with pytest.raises(ValueError, match="k_sim"):
+        embed_cold(g, X, params, good, k_sim=0)
+    with pytest.raises(ValueError, match="no eligible"):
+        embed_cold(g, X, params, good,
+                   eligible=np.array([], dtype=np.int64))
+
+
+def test_coldstart_task_is_one_forward_and_norm_pass_per_block(
+        mini_corpus, monkeypatch):
+    """The eval task embeds its cold products in blocks of
+    COLD_BLOCK_BYTES: one catalogue norm pass, one union and one forward
+    pass each, and the same report whatever the block size."""
+    _cfg, data, g = mini_corpus
+    # an embedding width other than the feature width: no other norm
+    # pass sees the catalogue's shape
+    params = ModelParams.init(data.features.shape[1], 6, 2,
+                              np.random.default_rng(9))
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            if name != "norm" or args[0].shape == data.features.shape:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("embed_cold", "full_blocks", "forward"):
+        monkeypatch.setattr(coldstart, name,
+                            counted(name, getattr(coldstart, name)))
+    monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
+    whole = run_task("coldstart", g, data.features, params)
+    assert dict(calls) == {"embed_cold": 1, "norm": 1, "full_blocks": 1,
+                           "forward": 1}
+    calls.clear()
+    monkeypatch.setattr(coldstart, "COLD_BLOCK_BYTES",
+                        8 * (g.num_nodes + 1) * 2)   # two rows a block
+    blocks = -(-whole.counts["cold_queries"] // 2)
+    assert blocks >= 3
+    assert run_task("coldstart", g, data.features, params) == whole
+    assert dict(calls) == {"embed_cold": blocks, "norm": blocks,
+                           "full_blocks": blocks, "forward": blocks}

@@ -4,11 +4,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from asymgraph.errors import DataFormatError
-from asymgraph.graph import (KeyMap, _sorted_distinct, attach_node,
-                             build_graph, dump_edge_file, graph_stats,
-                             load_edge_file, load_feature_file,
-                             one_way_mask, dump_feature_file,
-                             transitive_pairs)
+from asymgraph.graph import (KeyMap, _sorted_distinct, build_graph,
+                             dump_edge_file, graph_stats, load_edge_file,
+                             load_feature_file, one_way_mask,
+                             dump_feature_file, transitive_pairs)
 from reference import (loop_one_way_mask, loop_transitive_pairs,
                        sort_build_graph)
 
@@ -139,49 +138,6 @@ def test_sorted_distinct_matches_np_unique(n, low, high):
 def test_cv_in_is_cv_out():
     g = build_graph([(0, 1)], [(2, 0), (1, 2)], 3)
     assert g.cv_in is g.cv_out
-
-
-@st.composite
-def attach_cases(draw):
-    n, cp, cv = draw(pair_lists())
-    subsets = st.lists(st.integers(0, n - 1), unique=True, max_size=n) \
-        if n else st.just([])
-    return n, cp, cv, draw(subsets)
-
-
-@given(attach_cases())
-@example((0, [], [], []))                           # empty base graph
-@example((6, [(0, 1)], [(1, 2)], [5, 3, 4]))        # warm rows all empty
-@example((6, [(0, 1)], [(1, 2)], []))
-@example((4, [(0, 1), (2, 3)], [(0, 3)], [3, 0]))
-def test_attach_node_equals_rebuild(case):
-    n, cp, cv, cv_nbrs = case
-    g = build_graph(cp, cv, n)
-    overlay = attach_node(g, cv_nbrs=cv_nbrs)
-    assert overlay.num_nodes == n + 1
-    all_cp = g.cp_edges
-    all_cv = np.concatenate([g.cv_pairs, [(n, w) for w in cv_nbrs]
-                             or np.empty((0, 2), dtype=np.int64)])
-    got = graph_arrays(overlay)
-    assert_same_arrays(got, graph_arrays(build_graph(all_cp, all_cv, n + 1)))
-    assert_same_arrays(got, sort_build_graph(all_cp, all_cv, n + 1))
-
-
-def test_attach_node_leaves_base_untouched_and_shares_the_rest(random_graph):
-    g, _ = random_graph(num_nodes=15, seed=9)
-    before = {k: v.copy() for k, v in graph_arrays(g).items()}
-    overlay = attach_node(g, cv_nbrs=[3, 7])
-    assert_same_arrays(graph_arrays(g), before)
-    # co-purchase gains nothing: its lists are shared, read-only
-    for base, new in ((g.cp_out.indices, overlay.cp_out.indices),
-                      (g.cp_in.indices, overlay.cp_in.indices)):
-        assert np.shares_memory(base, new) and not new.flags.writeable
-    assert g.cp_out.indices.flags.writeable
-    assert not np.shares_memory(g.cv_out.indices, overlay.cv_out.indices)
-    with pytest.raises(DataFormatError, match="outside"):
-        attach_node(g, cv_nbrs=[15])
-    with pytest.raises(DataFormatError, match="outside"):
-        attach_node(g, cv_nbrs=[-1])
 
 
 def test_adjacency_reciprocity():
