@@ -19,6 +19,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import (BLAS_THREAD_VARS, __version__, coldstart, evaluation, formats,
                retrieval, synth, trainer)
 from .errors import DataFormatError, NumericalError
@@ -84,6 +86,8 @@ def write_manifest(out_dir: Path, command: str, config: dict,
                           if p and Path(p).exists()},
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+        "blas": {key: np.show_config(mode="dicts")["Build Dependencies"]
+                 ["blas"].get(key) for key in ("name", "version")},
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -153,6 +157,12 @@ def cmd_train(args) -> int:
     if args.resume:  # refuse a mismatched state before writing anything
         state = trainer.resume(args.resume)
         trainer.check_resumable(state, cfg, g_train, features)
+        now = {v: os.environ.get(v) for v in BLAS_THREAD_VARS}
+        seen = Path(args.resume).parent / "manifest.json"
+        seen = json.loads(seen.read_text("utf-8")) if seen.exists() else {}
+        if seen.get("blas_threads", now) != now:
+            log.warning("BLAS thread setting %s differs from the state's run "
+                        "(%s); its bits may differ", now, seen["blas_threads"])
     out = Path(args.out)
     write_manifest(out, "train", dataclasses.asdict(cfg),
                    {"root_seed": cfg.root_seed, "split_seed": args.split_seed,

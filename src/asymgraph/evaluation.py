@@ -254,13 +254,20 @@ def auc_direction(g: DirectedProductGraph, test_edges: np.ndarray,
 # ----------------------------------------------------------------------
 
 def ranking_report(g_train: DirectedProductGraph, emb: DualEmbeddings,
-                   test_edges, ks) -> MetricReport:
+                   test_edges, ks, synth=None) -> MetricReport:
     """HitRate@k and MRR@k of held-out edges (u, v), each u ranking every
-    product but itself and its co-purchase out-neighbors in `g_train`."""
+    product but itself and its co-purchase out-neighbors in `g_train`; of
+    `synth`, a subset scored from the same rankings, as "<k>_synth"."""
     index = retrieval.EmbeddingIndex.build(emb, graph=g_train)
     queries = np.unique(np.asarray(test_edges)[:, 0])
     rankings = rank_queries(index, queries, k=max(ks))
-    return hitrate_mrr(rankings, test_edges, ks)
+    report = hitrate_mrr(rankings, test_edges, ks)
+    if synth is not None and len(synth):
+        sub = hitrate_mrr(rankings, synth, ks)
+        report.hitrate.update((f"{k}_synth", sub.hitrate[k]) for k in ks)
+        report.mrr.update((f"{k}_synth", sub.mrr[k]) for k in ks)
+        report.counts["synth_test_edges"] = len(synth)
+    return report
 
 
 def run_task(task: str, g: DirectedProductGraph, features: np.ndarray,
@@ -294,15 +301,8 @@ def run_task(task: str, g: DirectedProductGraph, features: np.ndarray,
         report.auc["direction"] = auc_direction(g, split.test_edges, emb)
         return report
     if task != "coldstart":   # node-rec and selection-bias
-        report = ranking_report(g_train, emb, split.test_edges, ks)
-        synth = split.synth_test_edges
-        if synth is not None and len(synth):
-            sub = ranking_report(g_train, emb, synth, ks)
-            for k in ks:
-                report.hitrate[f"{k}_synth"] = sub.hitrate[k]
-                report.mrr[f"{k}_synth"] = sub.mrr[k]
-            report.counts["synth_test_edges"] = len(synth)
-        return report
+        return ranking_report(g_train, emb, split.test_edges, ks,
+                              split.synth_test_edges)
 
     # cold start: each test node with co-purchase edges into train nodes
     # ranks warm products from its cold-start embedding

@@ -3,12 +3,16 @@
 Related-product queries score source(q) . target(v); similar-product
 queries score source(q) . source(v). A returned score is canonical
 (`canonical_scores`): one pairwise row sum, whose bits do not depend on
-how many rows are scored. `rank_vectors` scores a block of queries with
-one GEMM, keeps in each row the ids within delta = 4 gamma_d |q| max|t|
-(|q| the block's largest, gamma_d = d u / (1 - d u), u = 2^-53) of its
-k-th GEMM score, and cuts them to the best k canonical scores, ties by id.
-Both scores lie within gamma_d |q| |t| of the exact dot, so no canonical
-top-k id is lost.
+how many rows are scored. `rank_vectors` scores a block in float32, keeps in
+each row the ids within delta32 of its k-th float32 score (rounded down) and
+cuts them to the best k canonical scores, ties by id. Target and queries are
+scaled by powers of two to a largest finite magnitude in [0.5, 1), so in
+scaled units |q| < sqrt(d). With T the largest target row norm and g(m, u) =
+m u / (1 - m u), delta32 = 4 (g(d + 2, 2^-24) + g(d, 2^-53)) sqrt(d) T +
+22 d 2^-126 doubles the float32 (two casts, any dot order, any underflow)
+and canonical error bounds of two scores: float32 never decides an output.
+Non-finite input, or a scale at which canonical scores may overflow or lose
+2^-126 to underflow, keeps every id.
 """
 
 from __future__ import annotations
@@ -26,9 +30,20 @@ from .model import DualEmbeddings
 FILTERS = ("none", "exclude_query", "exclude_train_neighbors")
 MODES = ("related", "similar")
 
-# Score-block budget: rows per block = this many bytes of float64 scores
+# Score-block budget: rows per block = this many bytes of float32 scores
 # over the catalogue. Larger blocks gain little and raise the peak memory.
 SCORE_BLOCK_BYTES = 1 << 20
+
+
+def _scaled32(m: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """(2^-e m in float32, e, delta32); 2^-e puts max finite |m| in [.5, 1)"""
+    d, mag = m.shape[1], np.abs(m)
+    e = math.frexp(mag.max(initial=0.0, where=np.isfinite(mag)))[1]
+    hat = np.ldexp(m, -e)
+    g = sum(j * u / (1 - j * u) for j, u in ((d + 2, 2 ** -24), (d, 2 ** -53)))
+    t = np.linalg.norm(hat, axis=1).max(initial=0.0) + d * 2.0 ** -511
+    return (hat.astype(np.float32), e,
+            float(4 * g * math.sqrt(d) * t + 22 * d * 2.0 ** -126))
 
 
 @dataclass
@@ -41,11 +56,8 @@ class EmbeddingIndex:
     def num_products(self) -> int:
         return self.theta_t.shape[0]
 
-    @cached_property
-    def max_norms(self) -> tuple[float, float]:
-        """Largest row norm of theta_s and of theta_t (index by `related`)."""
-        return tuple(float(np.linalg.norm(m, axis=1).max(initial=0.0))
-                     for m in (self.theta_s, self.theta_t))
+    source32 = cached_property(lambda self: _scaled32(self.theta_s))
+    target32 = cached_property(lambda self: _scaled32(self.theta_t))
 
     @classmethod
     def build(cls, emb: DualEmbeddings,
@@ -63,22 +75,25 @@ def top_k_by_score(scores: np.ndarray, k: int, exclude_rows: np.ndarray,
                    rescore=None) -> list[list[tuple[int, float]]]:
     """Best k of each row of a (queries, catalogue) score block, by
     descending score (or `rescore(rows, ids)`), ties by ascending id. Only
-    entries at least a row's k-th score (one partition) minus `delta` are
-    sorted. The block is overwritten: entry (exclude_rows[j],
-    exclude_ids[j]) is set to -inf; -inf is never returned, NaN ranks last.
-    """
+    entries at least a row's k-th score (one partition) minus `delta`,
+    rounded down (NaN: all), are sorted. The block is overwritten: entry
+    (exclude_rows[j], exclude_ids[j]) is set to -inf; -inf is never
+    returned, NaN ranks last."""
     b, n = scores.shape
     k = min(k, n)
     if k < 1:
         return [[] for _ in range(b)]
     scores[exclude_rows, exclude_ids] = -np.inf
-    kth = np.partition(scores, n - k, axis=1)[:, n - k] - delta
+    cut = np.partition(scores, n - k, axis=1)[:, n - k].astype(float) - delta
+    low = np.nextafter(cut.astype(scores.dtype), -np.inf)
     # `~(<)` keeps NaN, which np.partition places above every number
-    rows, ids = np.nonzero(~(scores < kth[:, None]))
+    keep = ~(scores < low[:, None])
+    keep[exclude_rows, exclude_ids] = False
+    rows, ids = np.divmod(np.flatnonzero(keep), n)
     vals = scores[rows, ids] if rescore is None else rescore(rows, ids)
-    live = (scores[rows, ids] != -np.inf) & (vals != -np.inf)
+    live = vals != -np.inf
     rows, ids, vals = rows[live], ids[live], vals[live]
-    # rows stay sorted, as np.nonzero gives them; the sort orders each row
+    # rows stay sorted, as the flat scan gives them; the sort orders each row
     order = np.lexsort((ids, -vals, rows))
     ids, vals = ids[order].tolist(), vals[order].tolist()
     starts = np.searchsorted(rows, np.arange(b + 1)).tolist()
@@ -89,20 +104,27 @@ def top_k_by_score(scores: np.ndarray, k: int, exclude_rows: np.ndarray,
 def rank_vectors(index: EmbeddingIndex, vecs: np.ndarray, k: int,
                  exclude_rows: np.ndarray, exclude_ids: np.ndarray,
                  related: bool = True) -> list[list[tuple[int, float]]]:
-    """Best k (id, canonical score) of each query vector in a block; a zero
-    query vector warns and gets no results."""
+    """Best k (id, canonical score) per query vector, in float32 blocks of
+    SCORE_BLOCK_BYTES; a zero query vector warns and gets no results."""
     if k < 1:
         raise ValueError("k must be >= 1")
     target = index.theta_t if related else index.theta_s
-    d, u, tiny = target.shape[1], 2.0 ** -53, 2.0 ** -511
-    # delta at the block's largest |q|, doubled to round it up: norms, delta
-    # and K - delta round by about u |q| max|t|; d tiny etc. cover underflow.
-    delta = 8 * d * u / (1 - d * u) * (index.max_norms[related] + d * tiny) \
-        * (math.sqrt((vecs * vecs).sum(axis=1).max(initial=0.0)) + d * tiny) \
-        + 4 * d * 2.0 ** -1074
-    results = top_k_by_score(
-        vecs @ target.T, k, exclude_rows, exclude_ids, delta,
-        lambda rows, ids: canonical_scores(target, ids, vecs.take(rows, 0)))
+    t32, e_t, delta = index.target32 if related else index.source32
+    n, d = target.shape
+    top = float(np.abs(vecs).max(initial=0.0))
+    e_q = math.frexp(top)[1]
+    q32 = np.ldexp(vecs, -e_q).astype(np.float32)
+    if not (math.isfinite(top + delta)
+            and -900 <= e_q + e_t <= 1020 - d.bit_length()):
+        delta = math.nan   # keeps every id
+    excluded = np.sort(exclude_rows * np.int64(n) + exclude_ids)   # by block
+    step, results = max(1, SCORE_BLOCK_BYTES // (4 * max(n, 1))), []
+    for s in range(0, len(vecs), step):
+        lo, hi = np.searchsorted(excluded, (s * n, (s + step) * n))
+        results += top_k_by_score(
+            q32[s:s + step] @ t32.T, k, *np.divmod(excluded[lo:hi] - s * n, n),
+            delta, lambda rows, ids, s=s:
+            canonical_scores(target, ids, vecs.take(rows + s, 0)))
     for i in np.flatnonzero(~vecs.any(axis=1)):
         warnings.warn("a query has a zero embedding; returning no results "
                       "for it", stacklevel=2)
@@ -128,26 +150,21 @@ def _exclusions(index: EmbeddingIndex, qs: np.ndarray,
             np.concatenate([qs, nbrs]))
 
 
-def _rank(index: EmbeddingIndex, qs: np.ndarray, k: int, filter: str,
-          related: bool) -> list[list[tuple[int, float]]]:
-    """Rankings for a block of known query ids."""
-    return rank_vectors(index, index.theta_s[qs], k,
-                        *_exclusions(index, qs, filter), related)
-
-
 def recommend_related(index: EmbeddingIndex, q: int, k: int,
                       filter: str = "none") -> list[tuple[int, float]]:
     """Top-k related products for query q by source(q) . target(v)."""
     if not 0 <= q < index.num_products:
         raise KeyError(f"unknown product id {q}")
-    return _rank(index, np.array([q]), k, filter, True)[0]
+    qs = np.array([q])
+    return rank_vectors(index, index.theta_s[qs], k,
+                        *_exclusions(index, qs, filter))[0]
 
 
 def batch_recommend(index: EmbeddingIndex, queries, k: int,
                     filter: str = "none",
                     mode: str = "related") -> list[list[tuple[int, float]]]:
-    """One top-k (id, score) list per query, in query order, ranked in
-    blocks of SCORE_BLOCK_BYTES. Mode "related" scores source(q) . target(v)
+    """One top-k (id, score) list per query, in query order, ranked by one
+    `rank_vectors` call. Mode "related" scores source(q) . target(v)
     and "similar" source(q) . source(v); a similar ranking keeps q itself
     unless the filter removes it."""
     if mode not in MODES:
@@ -156,7 +173,5 @@ def batch_recommend(index: EmbeddingIndex, queries, k: int,
     unknown = qs[(qs < 0) | (qs >= index.num_products)]
     if len(unknown):
         raise KeyError(f"unknown product ids {unknown[:5].tolist()}")
-    step = max(1, SCORE_BLOCK_BYTES // (8 * max(index.num_products, 1)))
-    return [res for start in range(0, len(qs), step)
-            for res in _rank(index, qs[start:start + step], k, filter,
-                             mode == "related")]
+    return rank_vectors(index, index.theta_s[qs], k,
+                        *_exclusions(index, qs, filter), mode == "related")

@@ -137,6 +137,52 @@ def gemv_rank(index, qs, k, filter, target):
     return results
 
 
+def _float64_top_k(scores, k, exclude_rows, exclude_ids, delta, rescore):
+    """`top_k_by_score` before the flat candidate scan, kept verbatim."""
+    b, n = scores.shape
+    k = min(k, n)
+    if k < 1:
+        return [[] for _ in range(b)]
+    scores[exclude_rows, exclude_ids] = -np.inf
+    kth = np.partition(scores, n - k, axis=1)[:, n - k] - delta
+    # `~(<)` keeps NaN, which np.partition places above every number
+    rows, ids = np.nonzero(~(scores < kth[:, None]))
+    vals = scores[rows, ids] if rescore is None else rescore(rows, ids)
+    live = (scores[rows, ids] != -np.inf) & (vals != -np.inf)
+    rows, ids, vals = rows[live], ids[live], vals[live]
+    # rows stay sorted, as np.nonzero gives them; the sort orders each row
+    order = np.lexsort((ids, -vals, rows))
+    ids, vals = ids[order].tolist(), vals[order].tolist()
+    starts = np.searchsorted(rows, np.arange(b + 1)).tolist()
+    return [list(zip(ids[s:min(s + k, e)], vals[s:min(s + k, e)]))
+            for s, e in zip(starts, starts[1:])]
+
+
+def float64_rank_vectors(index, vecs, k, exclude_rows, exclude_ids,
+                         related=True):
+    """`rank_vectors` before its float32 candidate pass, kept verbatim: one
+    float64 GEMM over all rows, candidates within delta = 8 gamma_d |q|
+    max|t| of each row's k-th GEMM score, cut by canonical score."""
+    from asymgraph.retrieval import canonical_scores
+
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    target = index.theta_t if related else index.theta_s
+    max_norm = float(np.linalg.norm(target, axis=1).max(initial=0.0))
+    d, u, tiny = target.shape[1], 2.0 ** -53, 2.0 ** -511
+    delta = 8 * d * u / (1 - d * u) * (max_norm + d * tiny) \
+        * (math.sqrt((vecs * vecs).sum(axis=1).max(initial=0.0)) + d * tiny) \
+        + 4 * d * 2.0 ** -1074
+    results = _float64_top_k(
+        vecs @ target.T, k, exclude_rows, exclude_ids, delta,
+        lambda rows, ids: canonical_scores(target, ids, vecs.take(rows, 0)))
+    for i in np.flatnonzero(~vecs.any(axis=1)):
+        warnings.warn("a query has a zero embedding; returning no results "
+                      "for it", stacklevel=2)
+        results[i] = []
+    return results
+
+
 def brute_hitrate_mrr(rankings, test_edges, k):
     hits, rrs = [], []
     for u, v in test_edges:

@@ -447,6 +447,37 @@ def test_resume_with_more_epochs_matches_straight_run(one_epoch, tmp_path):
         assert (resumed / name).read_bytes() == (straight / name).read_bytes()
 
 
+def test_resume_warns_when_the_blas_thread_setting_differs(
+        one_epoch, tmp_path, caplog, monkeypatch):
+    """The training run's manifest records its BLAS thread variables; a
+    resume under other values warns, since bits may then differ."""
+    corpus, cfg, out = one_epoch
+    edges, features = corpus / "edges.tsv", corpus / "features.tsv"
+    recorded = json.loads((out / "manifest.json").read_text())["blas_threads"]
+    for changed in (False, True):
+        for var, value in recorded.items():
+            if changed and var == "OPENBLAS_NUM_THREADS":
+                value = "3" if value != "3" else "4"
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        resumed = tmp_path / f"resumed{changed}"
+        shutil.copytree(out, resumed)
+        caplog.clear()
+        assert _train(edges, features, cfg, resumed, "--epochs", "2",
+                      "--resume", str(resumed / "train_state.ckpt")) == 0
+        assert ("BLAS thread setting" in caplog.text) is changed
+
+
+def test_manifest_records_the_blas_build(workspace):
+    _root, out = workspace
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["blas"] == {"name": blas.get("name"),
+                                "version": blas.get("version")}
+
+
 def test_train_splits_on_the_seed_eval_defaults_to(workspace, tmp_path):
     """`train --seed 5` without `--split-seed` holds out the edges that
     `eval` (split seed 0 by default) scores, not those of split seed 5;

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from asymgraph import coldstart
+from asymgraph import coldstart, retrieval
 from asymgraph.coldstart import (ColdStartRequest, attach_and_embed,
                                  embed_cold, find_warm_neighbors,
                                  recommend_for_cold)
@@ -291,8 +291,9 @@ def test_cold_block_rejects_bad_input(random_graph):
 def test_coldstart_task_is_one_forward_and_norm_pass_per_block(
         mini_corpus, monkeypatch):
     """The eval task embeds its cold products in blocks of
-    COLD_BLOCK_BYTES: one catalogue norm pass, one union and one forward
-    pass each, and the same report whatever the block size."""
+    COLD_BLOCK_BYTES: one catalogue norm pass, one union, one forward pass,
+    one warm-neighbour cut and one ranking score block each, and the same
+    report whatever the block size."""
     _cfg, data, g = mini_corpus
     # an embedding width other than the feature width: no other norm
     # pass sees the catalogue's shape
@@ -311,9 +312,16 @@ def test_coldstart_task_is_one_forward_and_norm_pass_per_block(
         monkeypatch.setattr(coldstart, name,
                             counted(name, getattr(coldstart, name)))
     monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
+    top_k = retrieval.top_k_by_score
+
+    def cut(scores, k, rows, ids, delta=0.0, rescore=None):
+        calls["warm" if rescore is None else "rank"] += 1
+        return top_k(scores, k, rows, ids, delta, rescore)
+
+    monkeypatch.setattr(retrieval, "top_k_by_score", cut)
     whole = run_task("coldstart", g, data.features, params)
     assert dict(calls) == {"embed_cold": 1, "norm": 1, "full_blocks": 1,
-                           "forward": 1}
+                           "forward": 1, "warm": 1, "rank": 1}
     calls.clear()
     monkeypatch.setattr(coldstart, "COLD_BLOCK_BYTES",
                         8 * (g.num_nodes + 1) * 2)   # two rows a block
@@ -321,4 +329,5 @@ def test_coldstart_task_is_one_forward_and_norm_pass_per_block(
     assert blocks >= 3
     assert run_task("coldstart", g, data.features, params) == whole
     assert dict(calls) == {"embed_cold": blocks, "norm": blocks,
-                           "full_blocks": blocks, "forward": blocks}
+                           "full_blocks": blocks, "forward": blocks,
+                           "warm": blocks, "rank": blocks}

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from unittest import mock
@@ -14,7 +15,8 @@ from asymgraph.model import DualEmbeddings
 from asymgraph.retrieval import (EmbeddingIndex, batch_recommend,
                                  canonical_scores, recommend_related,
                                  top_k_by_score)
-from reference import brute_top_k, gemv_rank, lexsort_top_k
+from reference import (brute_top_k, float64_rank_vectors, gemv_rank,
+                       lexsort_top_k)
 
 
 def make_index(theta_s, theta_t, **kw):
@@ -292,3 +294,115 @@ def test_near_ties_match_canonical_brute_force(case):
             + 4 * d * 2.0 ** -1074
         if np.all(-np.diff([s for _, s in top]) > delta):
             assert [i for i, _ in ranked] == [i for i, _ in top[:k]]
+
+
+# Scales of a whole matrix: 1, beyond float32's range, in its subnormal
+# range, and where canonical scores may underflow (every id kept).
+MATRIX_SCALES = (1.0, 2.0 ** 200, 2.0 ** -200, 2.0 ** -135, 2.0 ** -600)
+# Scales of a row made from another, mostly 1 (a repeat, or a near tie
+# when moved): zero, far outside float32's range beside the other rows,
+# or in its subnormal range after the matrix is scaled.
+ROW_SCALES = (1.0, 1.0, 1.0, 1.0, 0.0, 2.0 ** 200, 2.0 ** -200, 2.0 ** -135)
+
+
+@st.composite
+def float32_matrices(draw, n, d):
+    """A few rows with full mantissas (normal draws); each other row is one
+    of them, maybe moved by 2^-24 to 2^-20 relative (a near tie at float32
+    resolution), times one of ROW_SCALES; in a drawn order."""
+    m = draw(st.integers(1, max(1, n // 4)))
+    mat = np.empty((n, d))
+    mat[:m] = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).normal(
+        size=(m, d))
+    for j in range(m, n):
+        row = mat[draw(st.integers(0, m - 1))]
+        if draw(st.booleans()):
+            signs = draw(hnp.arrays(np.float64, d,
+                                    elements=st.sampled_from([-1.0, 1.0])))
+            row = row * (1 + signs * 2.0 ** -draw(st.integers(20, 24)))
+        mat[j] = row * draw(st.sampled_from(ROW_SCALES))
+    return mat[draw(st.permutations(range(n)))]
+
+
+@st.composite
+def float32_cases(draw):
+    n = draw(st.integers(1, 24))
+    d = draw(st.sampled_from([1, 2, 3, 8, 64]))
+    # queries repeat or move catalogue rows, so their scores nearly tie
+    both = draw(float32_matrices(2 * n, d))
+    theta_s = both[:n] * draw(st.sampled_from(MATRIX_SCALES))
+    theta_t = both[n:] * draw(st.sampled_from(MATRIX_SCALES))
+    cp = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                       max_size=2 * n))
+    queries = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    return (theta_s, theta_t, build_graph(cp, [], n), np.array(queries),
+            draw(st.integers(1, n + 2)), draw(st.sampled_from(retrieval.FILTERS)),
+            draw(st.sampled_from(["related", "similar"])))
+
+
+def _float32_pass_matches_oracle(index, qs, k, filter, mode):
+    """Rank qs[:1], qs[:3] and all of qs in blocks of 1 row, 7 rows and the
+    default budget; each must give the float64 oracle's ids and bits."""
+    related = mode == "related"
+    n = index.num_products
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for rows in (qs[:1], qs[:3], qs):
+            want = float64_rank_vectors(
+                index, index.theta_s[rows], k,
+                *retrieval._exclusions(index, rows, filter), related)
+            for budget in (4 * n, 7 * 4 * n, retrieval.SCORE_BLOCK_BYTES):
+                with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", budget):
+                    got = batch_recommend(index, rows, k, filter=filter,
+                                          mode=mode)
+                assert _bits(got) == _bits(want)
+
+
+@settings(max_examples=300)
+@given(float32_cases())
+def test_float32_pass_matches_float64_oracle(case):
+    """Near ties at float32 resolution, rows beyond float32's range or in
+    its subnormal range, zero and repeated rows, every filter and mode:
+    the float32 candidate pass returns the float64 pass's ids and bits."""
+    theta_s, theta_t, g, qs, k, filter, mode = case
+    _float32_pass_matches_oracle(make_index(theta_s, theta_t, graph=g), qs,
+                                 k, filter, mode)
+
+
+@settings(max_examples=100)
+@given(float32_cases(), st.sampled_from([np.inf, -np.inf, np.nan]),
+       st.sampled_from([np.inf, -np.inf, np.nan]), st.data())
+def test_float32_pass_matches_oracle_with_non_finite_rows(case, bad_t, bad_q,
+                                                          data):
+    """One catalogue row and one query row hold inf or NaN."""
+    theta_s, theta_t, g, qs, k, filter, mode = case
+    n, d = theta_t.shape
+    column = st.integers(0, d - 1)
+    theta_t[data.draw(st.integers(0, n - 1)), data.draw(column)] = bad_t
+    theta_s[data.draw(st.sampled_from(qs.tolist())), data.draw(column)] = bad_q
+    _float32_pass_matches_oracle(make_index(theta_s, theta_t, graph=g), qs,
+                                 k, filter, mode)
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_batch_is_one_top_k_call_per_score_block(monkeypatch, rows):
+    """`batch_recommend` ranks q queries in ceil(q / rows) score blocks of
+    SCORE_BLOCK_BYTES // (4 n) rows each."""
+    n = 40
+    theta = unit_rows(np.random.default_rng(11).normal(size=(n, 4)))
+    index = make_index(theta, theta)
+    if rows is not None:
+        monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 4 * n * rows)
+    per_block = retrieval.SCORE_BLOCK_BYTES // (4 * n)
+    blocks = []
+    top_k = retrieval.top_k_by_score
+
+    def counted(scores, *args, **kwargs):
+        blocks.append(len(scores))
+        return top_k(scores, *args, **kwargs)
+
+    monkeypatch.setattr(retrieval, "top_k_by_score", counted)
+    queries = np.arange(3 * n) % n
+    batch_recommend(index, queries, 5)
+    assert len(blocks) == math.ceil(len(queries) / per_block)
+    assert sum(blocks) == len(queries) and max(blocks) <= per_block
