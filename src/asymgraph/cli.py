@@ -28,7 +28,7 @@ from .graph import (build_graph, dump_edge_file, graph_stats, load_edge_file,
                     load_feature_file)
 from .model import (embed_all, dump_embeddings, load_checkpoint,
                     load_embeddings)
-from .util import sha256_file
+from .util import atomic_write, sha256_file
 
 log = logging.getLogger("asymgraph")
 
@@ -89,7 +89,7 @@ def write_manifest(out_dir: Path, command: str, config: dict,
         "blas": {key: np.show_config(mode="dicts")["Build Dependencies"]
                  ["blas"].get(key) for key in ("name", "version")},
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
+    with atomic_write(out_dir / "manifest.json") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -134,7 +134,7 @@ def cmd_build_graph(args) -> int:
                    {}, {"edges": args.edges, "features": args.features})
     dump_edge_file(g, km, out / "graph.tsv")
     stats = graph_stats(g)
-    with open(out / "stats.tsv", "w", encoding="utf-8") as f:
+    with atomic_write(out / "stats.tsv") as f:
         for fld in dataclasses.fields(stats):
             f.write(f"{fld.name}\t{getattr(stats, fld.name)}\n")
     log.info("graph: %d nodes, %d cp edges, %d cv edges (avg degree %.2f, "
@@ -201,9 +201,9 @@ def cmd_embed(args) -> int:
 
 
 def _output(path):
-    """`path` opened for writing, or stdout (left open) when not given."""
-    return open(path, "w", encoding="utf-8") if path \
-        else contextlib.nullcontext(sys.stdout)
+    """`path`, written whole or not at all (`atomic_write`), or stdout
+    (streamed, left open) when not given."""
+    return atomic_write(path) if path else contextlib.nullcontext(sys.stdout)
 
 
 def _emit_recommendations(stream, query_key, results, km) -> None:
@@ -283,11 +283,11 @@ def cmd_eval(args) -> int:
         args.task, g, features, params, split_seed=args.split_seed, ks=args.ks,
         use_coview=not args.no_coview)
     rows = report.rows()
-    with open(out / "metrics.tsv", "w", encoding="utf-8") as f:
+    with atomic_write(out / "metrics.tsv") as f:
         f.write("metric\tvalue\n")
         for name, value in rows:
             f.write(f"{name}\t{value:.12g}\n")
-    with open(out / "summary.txt", "w", encoding="utf-8") as f:
+    with atomic_write(out / "summary.txt") as f:
         f.write(f"task: {args.task}\n")
         f.write("inference graph: train edges only "
                 "(validation and test edges excluded)\n")

@@ -1,7 +1,8 @@
 """Cold-start embedding: attach new products to feature-similar warm
 products and run the trained model over the augmented neighbourhoods.
 
-Cold products are embedded in blocks, over a disjoint union in which key
+Cold products are embedded in blocks of `retrieval.block_rows(n, 8)` rows,
+one float64 cosine block each, over a disjoint union in which key
 r (n + 1) + u is node u of request r and u = n its cold node: co-view
 neighbour of its warm ids, and last in each of their rows. Sorted by key,
 each request sees the base graph plus its one node, as if alone, and keeps
@@ -20,26 +21,12 @@ from .graph import Adjacency, DirectedProductGraph
 from .model import ModelParams, forward
 from .sampler import SOURCE, TARGET, full_blocks
 
-# Rows per cold block: this over 8 (n + 1), so a block's cosines and each
-# column of a union level (n + 1 rows a request at most) fit in it. At most
-# SCORE_BLOCK_BYTES, so that a block is ranked as one score block.
-COLD_BLOCK_BYTES = 1 << 20
-
 
 @dataclass
 class ColdStartRequest:
     key: str
     features: np.ndarray
     k_sim: int = 5
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64).reshape(-1)
-        if self.k_sim < 1:
-            raise ValueError("k_sim must be >= 1")
-        if not np.isfinite(self.features).all():
-            raise ValueError("cold-start feature vector must be finite")
-        if not np.any(self.features):
-            raise ValueError("cold-start feature vector is all zeros")
 
 
 def _pow2_scaled(a: np.ndarray) -> np.ndarray:
@@ -49,14 +36,21 @@ def _pow2_scaled(a: np.ndarray) -> np.ndarray:
     return np.ldexp(a, -e)
 
 
-def find_warm_neighbors(features: np.ndarray, vec: np.ndarray, k_sim: int,
+def _ineligible(n: int, eligible) -> np.ndarray:
+    """Ids below `n` outside `eligible` (none when it is None)."""
+    if eligible is None:
+        return np.arange(0)
+    return np.setdiff1d(np.arange(n), eligible)
+
+
+def find_warm_neighbors(features: np.ndarray, vecs: np.ndarray, k_sim: int,
                         eligible: np.ndarray | None = None) -> np.ndarray:
     """Top warm products by cosine similarity of input features, ties by id,
-    for a cold vector or each row of a block of them: the catalogue norms
-    are taken once, each row gets one GEMV, and the cosines are cut in
-    score blocks. `eligible` optionally restricts the candidate pool (e.g.
-    to train nodes when held-out nodes share the feature matrix)."""
-    vecs = np.atleast_2d(vec)
+    a row of ids for each row of a block of cold vectors: the catalogue
+    norms are taken once, each row gets one GEMV, and the block's cosines
+    are cut in one piece. `eligible` optionally restricts the candidate
+    pool (e.g. to train nodes when held-out nodes share the feature
+    matrix)."""
     if vecs.shape[1] != features.shape[1]:
         raise ValueError(
             f"feature dim mismatch: cold {vecs.shape[1]}, warm {features.shape[1]}")
@@ -70,24 +64,15 @@ def find_warm_neighbors(features: np.ndarray, vec: np.ndarray, k_sim: int,
     rows = _pow2_scaled(features[odd])
     norms[odd] = np.linalg.norm(rows, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
-    ineligible = np.empty(0, dtype=np.int64)
-    if eligible is not None:
-        mask = np.ones(len(features), dtype=bool)
-        mask[eligible] = False
-        ineligible = np.flatnonzero(mask)
-    step = max(1, retrieval.SCORE_BLOCK_BYTES // (8 * max(len(features), 1)))
-    top: list = []
-    for start in range(0, len(vecs), step):
-        cos = np.empty((len(vecs[start:start + step]), len(features)))
-        for i, v in enumerate(vecs[start:start + step]):
-            dots = features @ v
-            dots[odd] = rows @ v
-            np.divide(dots, safe * np.linalg.norm(v), out=cos[i])
-        cos[:, ineligible] = -np.inf
-        top += retrieval.top_k_by_score(cos, k_sim, ineligible[:0],
-                                        ineligible[:0])
-    ids = np.array([[i for i, _ in row] for row in top], dtype=np.int64)
-    return ids[0] if np.ndim(vec) == 1 else ids.reshape(len(vecs), -1)
+    cos = np.empty((len(vecs), len(features)))
+    for i, v in enumerate(vecs):
+        dots = features @ v
+        dots[odd] = rows @ v
+        np.divide(dots, safe * np.linalg.norm(v), out=cos[i])
+    cos[:, _ineligible(len(features), eligible)] = -np.inf
+    top = retrieval.top_k_by_score(cos, k_sim, [], [])
+    return np.array([[i for i, _ in row] for row in top],
+                    dtype=np.int64).reshape(len(vecs), -1)
 
 
 def _keyed(adj: Adjacency, stride: int, patched=None, counts=None,
@@ -156,28 +141,28 @@ def embed_cold(g: DirectedProductGraph, features: np.ndarray,
 
 
 def recommend_cold_blocks(g, features, params, index, vecs, k: int,
-                          k_sim: int = 5, eligible=None, exclude=None):
+                          k_sim: int = 5, eligible=None):
     """Embed (`embed_cold`) and rank (as `recommend_for_cold`) the rows of
-    `vecs` in blocks of COLD_BLOCK_BYTES; yields (first row, rankings,
-    warm_ids) per block."""
-    excl = np.asarray([] if exclude is None else exclude, dtype=np.int64)
-    step = max(1, COLD_BLOCK_BYTES // (8 * (g.num_nodes + 1)))
+    `vecs` in blocks of `retrieval.block_rows(n, 8)` rows, drawing warm
+    neighbours and ranked ids from `eligible` (default: all); yields (first
+    row, rankings, warm_ids) per block."""
+    ineligible = _ineligible(g.num_nodes, eligible)
+    step = retrieval.block_rows(g.num_nodes, 8)
     for start in range(0, len(vecs), step):
         theta_s, _, warm = embed_cold(g, features, params,
                                       vecs[start:start + step], k_sim, eligible)
-        rows = np.repeat(np.arange(len(warm)), len(excl))
-        yield start, retrieval.rank_vectors(index, theta_s, k, rows, np.tile(
-            excl, len(warm))), warm
+        rows = np.repeat(np.arange(len(warm)), len(ineligible))
+        yield start, retrieval.rank_vectors(
+            index, theta_s, k, rows, np.tile(ineligible, len(warm))), warm
 
 
 def attach_and_embed(g: DirectedProductGraph, features: np.ndarray,
                      params: ModelParams, req: ColdStartRequest,
                      eligible: np.ndarray | None = None):
-    """Embed one cold product, as a 1-row `embed_cold` block; returns
-    (theta_s, theta_t, warm_ids)."""
-    theta_s, theta_t, warm = embed_cold(g, features, params,
-                                        req.features[None, :], req.k_sim,
-                                        eligible)
+    """Embed one cold product, as a 1-row `embed_cold` block, which checks
+    `req`; returns (theta_s, theta_t, warm_ids)."""
+    theta_s, theta_t, warm = embed_cold(g, features, params, [req.features],
+                                        req.k_sim, eligible)
     return theta_s[0], theta_t[0], warm[0]
 
 

@@ -318,7 +318,7 @@ def run_task(task: str, g: DirectedProductGraph, features: np.ndarray,
     rankings: dict[int, list[int]] = {}
     for start, recs, _warm in coldstart.recommend_cold_blocks(
             g_train, features, params, index, features[cold], max(ks), k_sim,
-            split.train_nodes, np.flatnonzero(~train_set)):
+            split.train_nodes):
         rankings.update((int(c), [i for i, _ in r])
                         for c, r in zip(cold[start:], recs))
     report = hitrate_mrr(rankings, test_edges, ks)

@@ -30,9 +30,14 @@ from .model import DualEmbeddings
 FILTERS = ("none", "exclude_query", "exclude_train_neighbors")
 MODES = ("related", "similar")
 
-# Score-block budget: rows per block = this many bytes of float32 scores
-# over the catalogue. Larger blocks gain little and raise the peak memory.
+# Block budget, in bytes of scores over the catalogue; larger blocks gain
+# little and raise the peak memory.
 SCORE_BLOCK_BYTES = 1 << 20
+
+
+def block_rows(n: int, itemsize: int) -> int:
+    """Rows per block of `itemsize`-byte scores over `n` products."""
+    return max(1, SCORE_BLOCK_BYTES // (itemsize * max(n, 1)))
 
 
 def _scaled32(m: np.ndarray) -> tuple[np.ndarray, int, float]:
@@ -105,7 +110,7 @@ def rank_vectors(index: EmbeddingIndex, vecs: np.ndarray, k: int,
                  exclude_rows: np.ndarray, exclude_ids: np.ndarray,
                  related: bool = True) -> list[list[tuple[int, float]]]:
     """Best k (id, canonical score) per query vector, in float32 blocks of
-    SCORE_BLOCK_BYTES; a zero query vector warns and gets no results."""
+    `block_rows(n, 4)` rows; a zero query vector warns and gets none."""
     if k < 1:
         raise ValueError("k must be >= 1")
     target = index.theta_t if related else index.theta_s
@@ -118,7 +123,7 @@ def rank_vectors(index: EmbeddingIndex, vecs: np.ndarray, k: int,
             and -900 <= e_q + e_t <= 1020 - d.bit_length()):
         delta = math.nan   # keeps every id
     excluded = np.sort(exclude_rows * np.int64(n) + exclude_ids)   # by block
-    step, results = max(1, SCORE_BLOCK_BYTES // (4 * max(n, 1))), []
+    step, results = block_rows(n, 4), []
     for s in range(0, len(vecs), step):
         lo, hi = np.searchsorted(excluded, (s * n, (s + step) * n))
         results += top_k_by_score(

@@ -10,8 +10,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 from asymgraph.graph import build_graph
 from asymgraph.synth import SynthConfig, generate
 
-# No example database on disk; numpy set-up makes first examples slow.
-settings.register_profile("asymgraph", database=None, deadline=None)
+# No example database on disk; numpy set-up makes first examples slow. A
+# failure prints its @reproduce_failure blob, so the failing draw can be
+# replayed without a database.
+settings.register_profile("asymgraph", database=None, deadline=None,
+                          print_blob=True)
 settings.load_profile("asymgraph")
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from asymgraph import cli, evaluation, trainer
+from asymgraph import cli, coldstart, evaluation, retrieval, trainer
 from asymgraph.graph import KeyMap, dump_edge_file, dump_feature_file
 
 PKG_ROOT = Path(__file__).parent.parent
@@ -266,6 +266,102 @@ def test_coldstart_bad_row_names_key_and_line_and_writes_nothing(
     assert "Traceback" not in proc.stderr
     assert not recs.exists()
 
+
+
+def _cold_file(corpus, path, count):
+    """A cold feature file of `count` rows copied from the corpus."""
+    rows = (corpus / "features.tsv").read_text().splitlines()
+    dim = rows[0].split("\t")[1]
+    path.write_text(f"{count}\t{dim}\n" + "".join(
+        f"cold{i}\t{row.split(chr(9))[1]}\n"
+        for i, row in enumerate(rows[1:count + 1])))
+    return int(rows[0].split("\t")[0])
+
+
+def _coldstart(trained, corpus, cold, out):
+    return cli.main(["coldstart", "--model", str(trained), "--features",
+                     str(corpus / "features.tsv"), "--cold", str(cold),
+                     "--k", "5", "--out", str(out)])
+
+
+def _counting_embed_cold(monkeypatch, fail_at=None):
+    """Count `coldstart.embed_cold` calls; raise ValueError at call
+    `fail_at`."""
+    calls = []
+    embed_cold = coldstart.embed_cold
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[3]))
+        if len(calls) == fail_at:
+            raise ValueError("injected failure")
+        return embed_cold(*args, **kwargs)
+    monkeypatch.setattr(coldstart, "embed_cold", counted)
+    return calls
+
+
+def test_coldstart_out_is_byte_equal_at_every_cold_block_size(
+        workspace, trained, tmp_path, monkeypatch):
+    """`coldstart --out` writes the same bytes at the default blocks and
+    at 1-row and 3-row cold blocks, each set through SCORE_BLOCK_BYTES."""
+    _root, corpus = workspace
+    cold = tmp_path / "cold.tsv"
+    n = _cold_file(corpus, cold, 7)
+    outputs = {}
+    for rows in (None, 1, 3):
+        if rows is not None:
+            monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 8 * n * rows)
+        calls = _counting_embed_cold(monkeypatch)
+        out = tmp_path / f"cold_recs_{rows}.tsv"
+        assert _coldstart(trained, corpus, cold, out) == 0
+        assert calls == ([7] if rows is None else
+                         [rows] * (7 // rows) + [7 % rows] * (7 % rows > 0))
+        outputs[rows] = out.read_bytes()
+    assert outputs[None] and outputs[1] == outputs[None] == outputs[3]
+
+
+def test_failed_coldstart_leaves_no_out_file(workspace, trained, tmp_path,
+                                             monkeypatch):
+    """A failure in the second 2-row cold block exits 2 and leaves neither
+    the `--out` file nor its temp file."""
+    _root, corpus = workspace
+    cold = tmp_path / "cold.tsv"
+    n = _cold_file(corpus, cold, 5)
+    monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 8 * n * 2)
+    calls = _counting_embed_cold(monkeypatch, fail_at=2)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert _coldstart(trained, corpus, cold, out_dir / "cold_recs.tsv") \
+        == cli.EXIT_DATA
+    assert calls == [2, 2]
+    assert list(out_dir.iterdir()) == []
+
+
+def test_failed_recommend_leaves_no_out_file(workspace, trained, tmp_path,
+                                             monkeypatch):
+    """A failure after the first query's rows are written exits 2 and
+    leaves neither the `--out` file nor its temp file."""
+    _root, corpus = workspace
+    index = tmp_path / "index"
+    assert cli.main(["embed", "--model", str(trained), "--graph",
+                     str(trained / "graph.tsv"), "--features",
+                     str(corpus / "features.tsv"), "--out", str(index)]) == 0
+    keys = tmp_path / "keys.txt"
+    keys.write_text("c00m000\nc00m001\nc00m002\n")
+    emitted = []
+    emit = cli._emit_recommendations
+
+    def failing(stream, *args):
+        emitted.append(args[0])
+        if len(emitted) == 2:
+            raise ValueError("injected failure")
+        emit(stream, *args)
+    monkeypatch.setattr(cli, "_emit_recommendations", failing)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert cli.main(["recommend", "--index", str(index), "--query", str(keys),
+                     "--out", str(out_dir / "recs.tsv")]) == cli.EXIT_DATA
+    assert emitted == ["c00m000", "c00m001"]
+    assert list(out_dir.iterdir()) == []
 
 def test_module_entry_sets_unset_blas_threads_to_one(tmp_path):
     """`python -m asymgraph` runs BLAS on one thread unless the caller set

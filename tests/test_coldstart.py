@@ -1,5 +1,6 @@
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,16 +22,16 @@ from reference import lexsort_warm_neighbors, rebuild_attach_and_embed
 def test_identical_feature_is_top_warm_neighbor():
     rng = np.random.default_rng(0)
     features = rng.normal(size=(10, 4))
-    warm = find_warm_neighbors(features, features[6].copy(), 3)
-    assert warm[0] == 6
+    warm = find_warm_neighbors(features, features[[6]], 3)
+    assert warm.shape == (1, 3) and warm[0, 0] == 6
 
 
 def test_eligible_mask_respected():
     rng = np.random.default_rng(1)
     features = rng.normal(size=(10, 4))
-    warm = find_warm_neighbors(features, features[6].copy(), 3,
+    warm = find_warm_neighbors(features, features[[6]], 3,
                                eligible=np.array([0, 1, 2]))
-    assert set(warm.tolist()) <= {0, 1, 2}
+    assert set(warm[0].tolist()) <= {0, 1, 2}
 
 
 @st.composite
@@ -50,17 +51,17 @@ def warm_cases(draw):
 @given(warm_cases())
 def test_find_warm_neighbors_matches_lexsort_oracle(case):
     features, vec, k_sim, eligible = case
-    got = find_warm_neighbors(features, vec, k_sim, eligible=eligible)
+    got = find_warm_neighbors(features, vec[None], k_sim, eligible=eligible)[0]
     want = lexsort_warm_neighbors(features, vec, k_sim, eligible)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_find_warm_neighbors_ties_by_id():
     features = np.array([[1.0, 0.0]] * 3 + [[2.0, 0.0]] * 3 + [[0.0, 1.0]])
-    vec = np.array([1.0, 0.0])
-    assert find_warm_neighbors(features, vec, 4).tolist() == [0, 1, 2, 3]
-    assert find_warm_neighbors(features, vec, 2,
-                               eligible=np.array([6, 5, 1])).tolist() == [1, 5]
+    vec = np.array([[1.0, 0.0]])
+    assert find_warm_neighbors(features, vec, 4).tolist() == [[0, 1, 2, 3]]
+    assert find_warm_neighbors(features, vec, 2, eligible=np.array(
+        [6, 5, 1])).tolist() == [[1, 5]]
     assert find_warm_neighbors(features, vec, 3,
                                eligible=np.array([], dtype=np.int64)).size == 0
 
@@ -71,8 +72,8 @@ def test_find_warm_neighbors_survives_underflowing_norms():
     features = np.array([[1e-200, 1e-200], [1.0, -1.0], [0.5, 0.4]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        warm = find_warm_neighbors(features, np.array([1e-200, 1e-200]), 2)
-    assert warm.tolist() == [0, 2]
+        warm = find_warm_neighbors(features, np.array([[1e-200, 1e-200]]), 2)
+    assert warm.tolist() == [[0, 2]]
 
 
 @pytest.mark.parametrize("exp", [600, -600])
@@ -82,7 +83,7 @@ def test_find_warm_neighbors_ignores_power_of_two_scale(exp):
     rng = np.random.default_rng(3)
     features = rng.normal(size=(40, 6))
     features[7] = 0.0
-    vec = rng.normal(size=6)
+    vec = rng.normal(size=(1, 6))
     want = find_warm_neighbors(features, vec, 40)
     scaled = features.copy()
     scaled[[4, 9]] = np.ldexp(scaled[[4, 9]], exp)
@@ -110,12 +111,16 @@ def test_attach_and_embed_matches_rebuild_oracle(mini_corpus):
 
 
 def test_request_validation():
-    with pytest.raises(ValueError, match="zeros"):
-        ColdStartRequest(key="c", features=np.zeros(4))
-    with pytest.raises(ValueError, match="finite"):
-        ColdStartRequest(key="c", features=np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        ColdStartRequest(key="c", features=np.ones(4), k_sim=0)
+    """`attach_and_embed` refuses a zero, non-finite or k_sim 0 request."""
+    g = build_graph([(0, 1)], [], 2)
+    X = np.ones((2, 2))
+    params = ModelParams([np.eye(2)])
+    for features, k_sim, match in ((np.zeros(2), 5, "zeros"),
+                                   (np.array([1.0, np.nan]), 5, "finite"),
+                                   (np.ones(2), 0, "k_sim")):
+        req = ColdStartRequest(key="c", features=features, k_sim=k_sim)
+        with pytest.raises(ValueError, match=match):
+            attach_and_embed(g, X, params, req)
 
 
 def test_dimension_mismatch_rejected():
@@ -291,9 +296,10 @@ def test_cold_block_rejects_bad_input(random_graph):
 def test_coldstart_task_is_one_forward_and_norm_pass_per_block(
         mini_corpus, monkeypatch):
     """The eval task embeds its cold products in blocks of
-    COLD_BLOCK_BYTES: one catalogue norm pass, one union, one forward pass,
-    one warm-neighbour cut and one ranking score block each, and the same
-    report whatever the block size."""
+    `retrieval.block_rows(n, 8)` rows: one catalogue norm pass, one union,
+    one forward pass, one warm-neighbour cut and one ranking score block
+    each, and the same report whatever the block size. SCORE_BLOCK_BYTES
+    alone sizes cold, cosine and score blocks."""
     _cfg, data, g = mini_corpus
     # an embedding width other than the feature width: no other norm
     # pass sees the catalogue's shape
@@ -323,11 +329,34 @@ def test_coldstart_task_is_one_forward_and_norm_pass_per_block(
     assert dict(calls) == {"embed_cold": 1, "norm": 1, "full_blocks": 1,
                            "forward": 1, "warm": 1, "rank": 1}
     calls.clear()
-    monkeypatch.setattr(coldstart, "COLD_BLOCK_BYTES",
-                        8 * (g.num_nodes + 1) * 2)   # two rows a block
+    monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES",
+                        8 * g.num_nodes * 2)   # two cold rows a block
     blocks = -(-whole.counts["cold_queries"] // 2)
     assert blocks >= 3
     assert run_task("coldstart", g, data.features, params) == whole
     assert dict(calls) == {"embed_cold": blocks, "norm": blocks,
                            "full_blocks": blocks, "forward": blocks,
                            "warm": blocks, "rank": blocks}
+
+
+def test_cold_blocks_draw_warm_and_ranked_ids_from_eligible(mini_corpus):
+    """Given `eligible`, no warm neighbour and no ranked id lies outside
+    it, at one block and at 2-row blocks."""
+    _cfg, data, g = mini_corpus
+    X = data.features
+    rng = np.random.default_rng(13)
+    params = ModelParams.init(X.shape[1], 6, 2, rng)
+    index = EmbeddingIndex.build(embed_all(g, X, params), graph=g)
+    eligible = np.arange(1, g.num_nodes, 3)
+    vecs = X[[0, 2, 5, 8, 11]] + 0.1 * rng.normal(size=(5, X.shape[1]))
+    for budget in (retrieval.SCORE_BLOCK_BYTES, 8 * g.num_nodes * 2):
+        with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", budget):
+            blocks = list(coldstart.recommend_cold_blocks(
+                g, X, params, index, vecs, 20, 4, eligible))
+        assert [start for start, _, _ in blocks] == list(
+            range(0, len(vecs), len(blocks[0][2])))
+        for _start, recs, warm in blocks:
+            assert warm.shape[1] == 4 and np.isin(warm, eligible).all()
+            for r in recs:
+                assert len(r) == 20
+                assert np.isin([i for i, _ in r], eligible).all()
