@@ -36,43 +36,47 @@ def _pow2_scaled(a: np.ndarray) -> np.ndarray:
     return np.ldexp(a, -e)
 
 
-def _ineligible(n: int, eligible) -> np.ndarray:
-    """Ids below `n` outside `eligible` (none when it is None)."""
-    if eligible is None:
-        return np.arange(0)
-    return np.setdiff1d(np.arange(n), eligible)
+def _excluded(n: int, eligible, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, id) pairs: each of `b` rows excludes ids outside `eligible`."""
+    mask = np.full(n, eligible is not None)
+    mask[[] if eligible is None else eligible] = False
+    ids = np.flatnonzero(mask)
+    return np.repeat(np.arange(b), len(ids)), np.tile(ids, b)
 
 
 def find_warm_neighbors(features: np.ndarray, vecs: np.ndarray, k_sim: int,
                         eligible: np.ndarray | None = None) -> np.ndarray:
-    """Top warm products by cosine similarity of input features, ties by id,
-    a row of ids for each row of a block of cold vectors: the catalogue
-    norms are taken once, each row gets one GEMV, and the block's cosines
-    are cut in one piece. `eligible` optionally restricts the candidate
-    pool (e.g. to train nodes when held-out nodes share the feature
-    matrix)."""
-    if vecs.shape[1] != features.shape[1]:
+    """Top warm products (of `eligible`, default all) by cosine of input
+    features, ties by id, a row of ids per row of a block of cold vectors.
+    One float64 GEMM picks candidates, cut on the canonical cosine
+    canonical_scores(f, i, v) / (|f_i| |v|), norms by pairwise row sums.
+    Scaled by powers of two, max |v_j| is in [.5, 1) and |f_i| in [2^-500,
+    2^500] (0 taken as 1), so the divisor s >= 2^-502 and sum |f_ij v_j| <=
+    2 s. A dot in any order, FMA and underflow included, is within gamma_d
+    sum |f_ij v_j| + d 2^-1074 of exact (gamma_m = m u / (1 - m u), u =
+    2^-53), so the cosines differ by e <= 4 gamma_(d+1) + d 2^-570, division
+    included. delta = 2^-49 (d + 1) >= 2 e while (d + 1) u <= 1/4 keeps
+    every canonical top-k id: the GEMM never decides an output."""
+    b, d = vecs.shape
+    if d != features.shape[1]:
         raise ValueError(
-            f"feature dim mismatch: cold {vecs.shape[1]}, warm {features.shape[1]}")
-    # a norm outside [2^-500, 2^500] may come out 0, inexact or inf, as its
-    # squares underflow or overflow; scaling by a power of two is exact and
-    # keeps the cosines, so the cold vectors and any such row are scaled
+            f"feature dim mismatch: cold {d}, warm {features.shape[1]}")
     vecs = _pow2_scaled(vecs)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(features, axis=1)
     odd = np.flatnonzero(~((norms >= 2.0 ** -500) & (norms <= 2.0 ** 500)))
-    rows = _pow2_scaled(features[odd])
-    norms[odd] = np.linalg.norm(rows, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    cos = np.empty((len(vecs), len(features)))
-    for i, v in enumerate(vecs):
-        dots = features @ v
-        dots[odd] = rows @ v
-        np.divide(dots, safe * np.linalg.norm(v), out=cos[i])
-    cos[:, _ineligible(len(features), eligible)] = -np.inf
-    top = retrieval.top_k_by_score(cos, k_sim, [], [])
+    if len(odd):
+        features = features.copy()
+        features[odd] = _pow2_scaled(features[odd])
+        norms[odd] = np.linalg.norm(features[odd], axis=1)
+    norms[norms == 0] = 1.0
+    s = np.multiply.outer(np.linalg.norm(vecs, axis=1), norms)
+    top = retrieval.top_k_by_score(
+        vecs @ features.T / s, k_sim, *_excluded(len(features), eligible, b),
+        (d + 1) * 2.0 ** -49, lambda rows, ids: retrieval.canonical_scores(
+            features, ids, vecs.take(rows, 0)) / s[rows, ids])
     return np.array([[i for i, _ in row] for row in top],
-                    dtype=np.int64).reshape(len(vecs), -1)
+                    dtype=np.int64).reshape(b, -1)
 
 
 def _keyed(adj: Adjacency, stride: int, patched=None, counts=None,
@@ -104,6 +108,8 @@ def embed_cold(g: DirectedProductGraph, features: np.ndarray,
     """Embed a block of cold products (rows of `vecs`) by one forward
     pass over their union. Returns (theta_s, theta_t, warm_ids), a row per
     product; its warm ids, best first, are its co-view neighbours."""
+    if not len(vecs):
+        raise ValueError("a cold block needs at least one row")
     vecs = np.asarray(vecs, dtype=np.float64).reshape(len(vecs), -1)
     if k_sim < 1 or not (np.isfinite(vecs).all() and vecs.any(axis=1).all()):
         raise ValueError("need k_sim >= 1 and cold rows finite, none all zeros")
@@ -146,14 +152,12 @@ def recommend_cold_blocks(g, features, params, index, vecs, k: int,
     `vecs` in blocks of `retrieval.block_rows(n, 8)` rows, drawing warm
     neighbours and ranked ids from `eligible` (default: all); yields (first
     row, rankings, warm_ids) per block."""
-    ineligible = _ineligible(g.num_nodes, eligible)
     step = retrieval.block_rows(g.num_nodes, 8)
     for start in range(0, len(vecs), step):
         theta_s, _, warm = embed_cold(g, features, params,
                                       vecs[start:start + step], k_sim, eligible)
-        rows = np.repeat(np.arange(len(warm)), len(ineligible))
-        yield start, retrieval.rank_vectors(
-            index, theta_s, k, rows, np.tile(ineligible, len(warm))), warm
+        yield start, retrieval.rank_vectors(index, theta_s, k, *_excluded(
+            g.num_nodes, eligible, len(warm))), warm
 
 
 def attach_and_embed(g: DirectedProductGraph, features: np.ndarray,
@@ -167,10 +171,9 @@ def attach_and_embed(g: DirectedProductGraph, features: np.ndarray,
 
 
 def recommend_for_cold(theta_s_cold: np.ndarray,
-                       index: retrieval.EmbeddingIndex, k: int,
-                       exclude=None) -> list[tuple[int, float]]:
+                       index: retrieval.EmbeddingIndex,
+                       k: int) -> list[tuple[int, float]]:
     """Rank warm products for a cold query vector, as a 1-row block of
-    related-product retrieval, with an optional id exclusion list."""
-    excl = np.asarray([] if exclude is None else exclude, dtype=np.int64)
+    related-product retrieval."""
     return retrieval.rank_vectors(index, theta_s_cold[None, :], k,
-                                  np.zeros_like(excl), excl)[0]
+                                  *np.zeros((2, 0), dtype=np.int64))[0]

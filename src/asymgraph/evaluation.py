@@ -205,9 +205,8 @@ def auc_existence(scores_pos, scores_neg) -> float:
 
 def relevance_scores(emb: DualEmbeddings, pairs: np.ndarray) -> np.ndarray:
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    s = emb.theta_s[emb.rows_of(pairs[:, 0])]
-    t = emb.theta_t[emb.rows_of(pairs[:, 1])]
-    return np.sum(s * t, axis=1)
+    return retrieval.canonical_scores(emb.theta_t, emb.rows_of(pairs[:, 1]),
+                                      emb.theta_s[emb.rows_of(pairs[:, 0])])
 
 
 def sample_non_edges(g: DirectedProductGraph, count: int,
@@ -307,11 +306,9 @@ def run_task(task: str, g: DirectedProductGraph, features: np.ndarray,
     # cold start: each test node with co-purchase edges into train nodes
     # ranks warm products from its cold-start embedding
     index = retrieval.EmbeddingIndex.build(emb, graph=g_train)
-    train_set = np.zeros(g.num_nodes, dtype=bool)
-    train_set[split.train_nodes] = True
     deg, targets = g.cp_out.rows(split.test_nodes)
     test_edges = np.stack([np.repeat(split.test_nodes, deg), targets],
-                          axis=1)[train_set[targets]]
+                          axis=1)[np.isin(targets, split.train_nodes)]
     if not len(test_edges):
         raise ValueError("node split produced no evaluable cold-start edges")
     cold = np.unique(test_edges[:, 0])

@@ -445,6 +445,26 @@ def lexsort_warm_neighbors(features, vec, k_sim, eligible=None):
     return order[: min(k_sim, len(order))].astype(np.int64)
 
 
+def canonical_warm_neighbors(features, vec, k_sim, eligible=None):
+    """Warm-neighbour pick on canonical cosines, one pair at a time: each
+    row and `vec` times the power of two that puts its largest magnitude in
+    [0.5, 1), each dot and squared norm one `np.add.reduce` (a zero norm
+    counts as 1), then a full lexsort on (-cosine, id) of eligible rows."""
+    def scaled(x):
+        return np.ldexp(x, -math.frexp(float(np.abs(x).max()))[1])
+
+    v = scaled(vec)
+    v_norm = math.sqrt(np.add.reduce(v * v))
+    cos = np.full(len(features), -np.inf)
+    for i in range(len(features)) if eligible is None else set(eligible):
+        f = scaled(features[i])
+        f_norm = math.sqrt(np.add.reduce(f * f)) or 1.0
+        cos[i] = np.add.reduce(f * v) / (f_norm * v_norm)
+    order = np.lexsort((np.arange(len(cos)), -cos))
+    order = order[~np.isneginf(cos[order])]
+    return order[: min(k_sim, len(order))].astype(np.int64)
+
+
 def rebuild_attach_and_embed(g, features, params, req, eligible=None):
     """Cold-start embedding over an overlay rebuilt from every edge by
     `sort_build_graph`, then the package's full-neighbourhood forward.

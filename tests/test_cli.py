@@ -661,10 +661,11 @@ PIPELINE_2K = r"""
 import sys
 from pathlib import Path
 
-from asymgraph import evaluation
+from asymgraph import evaluation, retrieval
 from asymgraph.cli import main
 
 root = Path(sys.argv[1])
+retrieval.SCORE_BLOCK_BYTES = int(sys.argv[2])
 corpus, model = root / "corpus", root / "model"
 edges, features = corpus / "edges.tsv", corpus / "features.tsv"
 
@@ -714,13 +715,17 @@ PIPELINE_2K_SHA256 = {
 }
 
 
-def test_default_corpus_pipeline_outputs_are_pinned(tmp_path):
+@pytest.mark.parametrize("budget", [retrieval.SCORE_BLOCK_BYTES, 1, 64 << 20],
+                         ids=["default", "1B", "64MiB"])
+def test_default_corpus_pipeline_outputs_are_pinned(tmp_path, budget):
     """synth --seed 1, train --epochs 1, embed, recommend over 200 keys,
     coldstart over 20 cold rows and all five eval tasks, in one process,
-    write the pinned bytes."""
+    write the pinned bytes at the default block budget, at 1-row blocks
+    and at one block for everything."""
     env = with_src({**os.environ, "OPENBLAS_NUM_THREADS": "1",
                     "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
-    proc = subprocess.run([sys.executable, "-c", PIPELINE_2K, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", PIPELINE_2K, str(tmp_path),
+                           str(budget)],
                           capture_output=True, text=True, cwd=PKG_ROOT,
                           env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -16,7 +16,8 @@ from asymgraph.evaluation import run_task
 from asymgraph.graph import build_graph
 from asymgraph.model import ModelParams, embed_all
 from asymgraph.retrieval import EmbeddingIndex
-from reference import lexsort_warm_neighbors, rebuild_attach_and_embed
+from reference import (canonical_warm_neighbors, lexsort_warm_neighbors,
+                       rebuild_attach_and_embed)
 
 
 def test_identical_feature_is_top_warm_neighbor():
@@ -54,6 +55,67 @@ def test_find_warm_neighbors_matches_lexsort_oracle(case):
     got = find_warm_neighbors(features, vec[None], k_sim, eligible=eligible)[0]
     want = lexsort_warm_neighbors(features, vec, k_sim, eligible)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@st.composite
+def canonical_warm_cases(draw):
+    """Base rows of quarter steps or of full mantissas; every other warm
+    row, and every cold row, repeats one, permutes it or moves its non-zero
+    entries by an ulp, and scales it by 1, 0 or 2^+-600. Cosines tie or
+    nearly tie, and some norms underflow or overflow. Against a constant
+    cold row, a permuted row ties exactly, but its dots round by the
+    summation order."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.sampled_from([1, 2, 3, 8, 9, 64]))
+    m = draw(st.integers(1, max(1, n // 2)))
+    if draw(st.booleans()):
+        quarters = st.integers(-8, 8).map(lambda i: i / 4)
+        base = draw(hnp.arrays(np.float64, (m, d), elements=quarters))
+    else:
+        base = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))
+                                     ).normal(size=(m, d))
+
+    def derived(count):
+        rows = np.empty((count, d))
+        for j in range(count):
+            row = base[draw(st.integers(0, m - 1))]
+            move = draw(st.sampled_from(["none", "permute", "down", "up"]))
+            if move == "permute":
+                row = row[draw(st.permutations(range(d)))]
+            elif move != "none":
+                step = np.inf if move == "up" else -np.inf
+                row = np.where(row == 0, row, np.nextafter(row, step))
+            rows[j] = row * draw(st.sampled_from(
+                [1.0, 1.0, 0.0, 2.0 ** 600, 2.0 ** -600]))
+        return rows
+
+    features = np.concatenate([base, derived(n - m)])[
+        draw(st.permutations(range(n)))]
+    vecs = np.concatenate([derived(draw(st.integers(1, 6))),
+                           np.ones((draw(st.integers(0, 2)), d))])
+    vecs[~vecs.any(axis=1)] = 1.0
+    eligible = draw(st.none() | st.lists(st.integers(0, n - 1), max_size=n)
+                    .map(lambda e: np.array(e, dtype=np.int64)))
+    return features, vecs, draw(st.integers(1, n + 2)), eligible
+
+
+@settings(max_examples=200)
+@given(canonical_warm_cases())
+def test_find_warm_neighbors_matches_canonical_brute_force(case):
+    """At blocks of 1 row, 3 rows and all rows, every row's warm ids are
+    the canonical oracle's, on near ties and scaled rows, with no
+    warning: the float64 GEMM never decides an id."""
+    features, vecs, k_sim, eligible = case
+    want = [canonical_warm_neighbors(features, v, k_sim, eligible)
+            for v in vecs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for size in (1, 3, len(vecs)):
+            for start in range(0, len(vecs), size):
+                got = find_warm_neighbors(features, vecs[start:start + size],
+                                          k_sim, eligible)
+                for row, w in zip(got, want[start:]):
+                    assert row.dtype == w.dtype and np.array_equal(row, w)
 
 
 def test_find_warm_neighbors_ties_by_id():
@@ -279,7 +341,8 @@ def test_cold_block_rejects_bad_input(random_graph):
     g, X = random_graph(num_nodes=10, seed=7)
     params = ModelParams.init(5, 4, 2, np.random.default_rng(0))
     good = X[:2] + 0.1
-    for vecs, match in ((good * [[1], [0]], "zeros"), (good[:0], None),
+    for vecs, match in ((good * [[1], [0]], "zeros"),
+                        (good[:0], "at least one row"),
                         (np.full((1, 5), np.inf), "finite"),
                         (good[:, :4], "dim mismatch")):
         with pytest.raises(ValueError, match=match):
@@ -291,6 +354,9 @@ def test_cold_block_rejects_bad_input(random_graph):
     with pytest.raises(ValueError, match="no eligible"):
         embed_cold(g, X, params, good,
                    eligible=np.array([], dtype=np.int64))
+    index = EmbeddingIndex.build(embed_all(g, X, params))
+    assert list(coldstart.recommend_cold_blocks(g, X, params, index,
+                                                good[:0], 5)) == []
 
 
 def test_coldstart_task_is_one_forward_and_norm_pass_per_block(
@@ -321,7 +387,8 @@ def test_coldstart_task_is_one_forward_and_norm_pass_per_block(
     top_k = retrieval.top_k_by_score
 
     def cut(scores, k, rows, ids, delta=0.0, rescore=None):
-        calls["warm" if rescore is None else "rank"] += 1
+        # float64 cosines are the warm cut, float32 scores the ranking cut
+        calls["warm" if scores.dtype == np.float64 else "rank"] += 1
         return top_k(scores, k, rows, ids, delta, rescore)
 
     monkeypatch.setattr(retrieval, "top_k_by_score", cut)
