@@ -17,6 +17,7 @@ import logging
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -234,8 +235,15 @@ def cmd_recommend(args) -> int:
     if unknown:
         raise DataFormatError(f"unknown product keys: {unknown[:5]}")
     ids = [km.id_of(k) for k in keys]
-    rankings = retrieval.batch_recommend(index, ids, args.k,
-                                         filter=args.filter, mode=args.mode)
+    with warnings.catch_warnings():
+        # reported below through the logger, by key
+        warnings.filterwarnings("ignore", "a query has a zero embedding")
+        rankings = retrieval.batch_recommend(
+            index, ids, args.k, filter=args.filter, mode=args.mode)
+    for key in dict.fromkeys(keys):
+        if not index.theta_s[km.id_of(key)].any():
+            log.warning("query %r has a zero embedding; it gets no "
+                        "recommendations", key)
     with _output(args.out) as out:
         for key, results in zip(keys, rankings):
             _emit_recommendations(out, key, results, km)

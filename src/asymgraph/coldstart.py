@@ -55,26 +55,39 @@ def find_warm_neighbors(features: np.ndarray, vecs: np.ndarray, k_sim: int,
     2 s. A dot in any order, FMA and underflow included, is within gamma_d
     sum |f_ij v_j| + d 2^-1074 of exact (gamma_m = m u / (1 - m u), u =
     2^-53), so the cosines differ by e <= 4 gamma_(d+1) + d 2^-570, division
-    included. delta = 2^-49 (d + 1) >= 2 e while (d + 1) u <= 1/4 keeps
-    every canonical top-k id: the GEMM never decides an output."""
+    included, where both divide by the same norms. The GEMM's cosines
+    divide by cheap norms (an einsum's row sums) instead: a norm in any
+    order is within gamma_(d+1) of |f_i|, so the two norms' ratio is within
+    2.1 gamma_(d+1) of 1, and a cosine (at most 2) moves by e' <= 7.1
+    gamma_(d+1) more, its rounding included. delta = 2^-48 (d + 1) >= 2 (e
+    + e') while (d + 1) u <= 2^-8 keeps every canonical top-k id: the GEMM
+    never decides an output. Only rows whose cheap norm is not in [2^-499,
+    2^499] are scaled; the canonical norms are taken of candidates only."""
     b, d = vecs.shape
     if d != features.shape[1]:
         raise ValueError(
             f"feature dim mismatch: cold {d}, warm {features.shape[1]}")
     vecs = _pow2_scaled(vecs)
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(features, axis=1)
-    odd = np.flatnonzero(~((norms >= 2.0 ** -500) & (norms <= 2.0 ** 500)))
+        cheap = np.sqrt(np.einsum("ij,ij->i", features, features))
+    odd = np.flatnonzero(~((cheap >= 2.0 ** -499) & (cheap <= 2.0 ** 499)))
     if len(odd):
         features = features.copy()
         features[odd] = _pow2_scaled(features[odd])
-        norms[odd] = np.linalg.norm(features[odd], axis=1)
-    norms[norms == 0] = 1.0
-    s = np.multiply.outer(np.linalg.norm(vecs, axis=1), norms)
+        cheap[odd] = np.linalg.norm(features[odd], axis=1)
+    cheap[cheap == 0] = 1.0
+    v_norms = np.linalg.norm(vecs, axis=1)
+
+    def canonical(rows, ids):
+        norms = np.linalg.norm(features[ids], axis=1)
+        norms[norms == 0] = 1.0
+        return retrieval.canonical_scores(features, ids, vecs.take(
+            rows, 0)) / (v_norms[rows] * norms)
+
     top = retrieval.top_k_by_score(
-        vecs @ features.T / s, k_sim, *_excluded(len(features), eligible, b),
-        (d + 1) * 2.0 ** -49, lambda rows, ids: retrieval.canonical_scores(
-            features, ids, vecs.take(rows, 0)) / s[rows, ids])
+        vecs @ features.T / np.multiply.outer(v_norms, cheap), k_sim,
+        *_excluded(len(features), eligible, b), (d + 1) * 2.0 ** -48,
+        canonical)
     return np.array([[i for i, _ in row] for row in top],
                     dtype=np.int64).reshape(b, -1)
 

@@ -137,13 +137,12 @@ def _layer(sel_cp, p_cp, sel_cv, p_cv, l: int, ch: str) -> tuple:
     pre_cv = sel_cv @ p_cv
     on_cv = pre_cv > 0.0
     h += np.maximum(pre_cv, 0.0, out=pre_cv)
-    if not np.isfinite(h).all():
-        raise NumericalError(
-            f"non-finite activations in layer {l} ({ch} channel)")
-    norms = np.linalg.norm(h, axis=1)
+    # np.linalg.norm's arithmetic for real rows, without its copy; a
+    # non-finite activation always gives a non-finite row norm
+    norms = np.sqrt(np.add.reduce(h * h, axis=1))
     if not np.isfinite(norms).all():
-        raise NumericalError(
-            f"non-finite row norms in layer {l} ({ch} channel)")
+        raise NumericalError(f"non-finite activations or row norms in layer "
+                             f"{l} ({ch} channel)")
     h /= np.where(norms > 0.0, norms, 1.0)[:, None]
     return on_cp, on_cv, norms, h
 

@@ -13,6 +13,13 @@ m u / (1 - m u), delta32 = 4 (g(d + 2, 2^-24) + g(d, 2^-53)) sqrt(d) T +
 and canonical error bounds of two scores: float32 never decides an output.
 Non-finite input, or a scale at which canonical scores may overflow or lose
 2^-126 to underflow, keeps every id.
+
+Blocks hold RANK_BLOCK_ROWS queries, fewer only where their float32 scores
+would pass RANK_BLOCK_BYTES. A row's k-th score comes from one partition
+of the row or, in blocks of 16 rows or more whose every 4th column holds
+40k columns or more, from a partition of that sample (a lower bound on
+it) and one of the few entries at or above the bound minus delta. Both
+give the same k-th score, so the same ids are kept.
 """
 
 from __future__ import annotations
@@ -30,9 +37,14 @@ from .model import DualEmbeddings
 FILTERS = ("none", "exclude_query", "exclude_train_neighbors")
 MODES = ("related", "similar")
 
-# Block budget, in bytes of scores over the catalogue; larger blocks gain
-# little and raise the peak memory.
+# Cold-start blocks (`block_rows(n, 8)`): bytes of float64 cosines over
+# the catalogue.
 SCORE_BLOCK_BYTES = 1 << 20
+# Ranking blocks: queries a float32 score block, measured. At 10k products
+# a 128-row sgemm costs about half as much a query as a 26-row one, and
+# 64 rows gain less. The byte cap binds beyond 16,384 products only.
+RANK_BLOCK_ROWS = 128
+RANK_BLOCK_BYTES = 8 << 20
 
 
 def block_rows(n: int, itemsize: int) -> int:
@@ -75,26 +87,66 @@ def canonical_scores(target: np.ndarray, ids, vecs) -> np.ndarray:
     return np.add.reduce(target.take(ids, axis=0) * vecs, axis=1)
 
 
+def _low(kth: np.ndarray, delta, dtype) -> np.ndarray:
+    """Each row's keep threshold: its k-th score minus delta, in float64,
+    rounded down to the block's dtype (NaN keeps every entry)."""
+    return np.nextafter((kth.astype(float) - delta).astype(dtype), -np.inf)
+
+
+def _kth(scores: np.ndarray, k: int) -> np.ndarray:
+    """k-th largest of each row (NaN above every number)."""
+    return np.partition(scores, scores.shape[1] - k, axis=1)[:, -k]
+
+
+def _sampled_candidates(scores, k, exclude_rows, exclude_ids, delta):
+    """(rows, ids) that `top_k_by_score`'s cut keeps, in flat order, or
+    None where a row's k-th score is NaN. The k-th score of every 4th
+    column is at most the row's, so the entries at or above it minus delta
+    hold each one the cut keeps, and the row's k-th score is their k-th."""
+    b, n = scores.shape
+    low = _low(_kth(scores[:, ::4], k), delta, scores.dtype)
+    pre = ~(scores < low[:, None])
+    pre[exclude_rows, exclude_ids] = False
+    rows, ids = np.divmod(np.flatnonzero(pre), n)
+    vals = scores[rows, ids]
+    # each row's entries left-aligned over -inf, as excluded ones read
+    counts = np.bincount(rows, minlength=b)
+    pad = np.full((b, max(k, counts.max())), -np.inf, scores.dtype)
+    pad[rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]] = vals
+    kth = _kth(pad, k)
+    if np.isnan(kth).any():   # the cut would keep every entry of its row
+        return None
+    keep = ~(vals < _low(kth, delta, scores.dtype)[rows])
+    return rows[keep], ids[keep]
+
+
 def top_k_by_score(scores: np.ndarray, k: int, exclude_rows: np.ndarray,
                    exclude_ids: np.ndarray, delta=0.0,
                    rescore=None) -> list[list[tuple[int, float]]]:
     """Best k of each row of a (queries, catalogue) score block, by
     descending score (or `rescore(rows, ids)`), ties by ascending id. Only
-    entries at least a row's k-th score (one partition) minus `delta`,
-    rounded down (NaN: all), are sorted. The block is overwritten: entry
-    (exclude_rows[j], exclude_ids[j]) is set to -inf; -inf is never
-    returned, NaN ranks last."""
+    entries at least a row's k-th score minus `delta`, rounded down (NaN:
+    all), are sorted. That k-th score comes from one partition of the
+    block, or, given a finite delta, 16 rows or more and 40k columns or
+    more in every 4th column, from `_sampled_candidates`. The block is
+    overwritten: entry (exclude_rows[j], exclude_ids[j]) is set to -inf;
+    -inf is never returned, NaN ranks last."""
     b, n = scores.shape
     k = min(k, n)
     if k < 1:
         return [[] for _ in range(b)]
     scores[exclude_rows, exclude_ids] = -np.inf
-    cut = np.partition(scores, n - k, axis=1)[:, n - k].astype(float) - delta
-    low = np.nextafter(cut.astype(scores.dtype), -np.inf)
-    # `~(<)` keeps NaN, which np.partition places above every number
-    keep = ~(scores < low[:, None])
-    keep[exclude_rows, exclude_ids] = False
-    rows, ids = np.divmod(np.flatnonzero(keep), n)
+    cut = None
+    # the sample's own passes cost more than they save on fewer rows, or
+    # on fewer columns (measured at k = 5 to 50 and 2k to 10k columns)
+    if b >= 16 and (n + 3) // 4 >= 40 * k and not math.isnan(delta):
+        cut = _sampled_candidates(scores, k, exclude_rows, exclude_ids, delta)
+    if cut is None:
+        # `~(<)` keeps NaN, which np.partition places above every number
+        keep = ~(scores < _low(_kth(scores, k), delta, scores.dtype)[:, None])
+        keep[exclude_rows, exclude_ids] = False
+        cut = np.divmod(np.flatnonzero(keep), n)
+    rows, ids = cut
     vals = scores[rows, ids] if rescore is None else rescore(rows, ids)
     live = vals != -np.inf
     rows, ids, vals = rows[live], ids[live], vals[live]
@@ -110,7 +162,8 @@ def rank_vectors(index: EmbeddingIndex, vecs: np.ndarray, k: int,
                  exclude_rows: np.ndarray, exclude_ids: np.ndarray,
                  related: bool = True) -> list[list[tuple[int, float]]]:
     """Best k (id, canonical score) per query vector, in float32 blocks of
-    `block_rows(n, 4)` rows; a zero query vector warns and gets none."""
+    RANK_BLOCK_ROWS rows (fewer where a block would pass RANK_BLOCK_BYTES);
+    a zero query vector warns and gets none."""
     if k < 1:
         raise ValueError("k must be >= 1")
     target = index.theta_t if related else index.theta_s
@@ -123,7 +176,8 @@ def rank_vectors(index: EmbeddingIndex, vecs: np.ndarray, k: int,
             and -900 <= e_q + e_t <= 1020 - d.bit_length()):
         delta = math.nan   # keeps every id
     excluded = np.sort(exclude_rows * np.int64(n) + exclude_ids)   # by block
-    step, results = block_rows(n, 4), []
+    step = max(1, min(RANK_BLOCK_ROWS, RANK_BLOCK_BYTES // (4 * max(n, 1))))
+    results = []
     for s in range(0, len(vecs), step):
         lo, hi = np.searchsorted(excluded, (s * n, (s + step) * n))
         results += top_k_by_score(

@@ -12,6 +12,7 @@ import pytest
 import reference as ref
 from asymgraph import cli, coldstart, evaluation, retrieval, trainer
 from asymgraph.graph import KeyMap, dump_edge_file, dump_feature_file
+from asymgraph.model import DualEmbeddings, dump_embeddings
 
 PKG_ROOT = Path(__file__).parent.parent
 
@@ -193,6 +194,25 @@ def test_recommend_key_file_keeps_spaces_in_keys(tmp_path):
         recs[name] = (tmp_path / f"{name}.tsv").read_text().splitlines()
     assert len(recs["arg"]) == 2 and recs["file"] == recs["arg"]
     assert all(line.startswith("a \t") for line in recs["file"])
+
+
+def test_recommend_names_zero_embedding_keys_in_its_log(tmp_path):
+    """A query whose source embedding is zero gets no lines; stderr names
+    its key once, through the logger, with no Python source line."""
+    km = KeyMap(["a", "zero key", "c"])
+    theta = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
+    (tmp_path / "index").mkdir()
+    dump_embeddings(DualEmbeddings(np.arange(3), theta, theta + 1), km,
+                    tmp_path / "index" / "embeddings.tsv")
+    (tmp_path / "keys.txt").write_text("zero key\na\nzero key\n")
+    proc = run_cli("recommend", "--index", str(tmp_path / "index"),
+                   "--query", str(tmp_path / "keys.txt"), "--k", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split("\t")[0] for line in proc.stdout.splitlines()] == \
+        ["a", "a"]
+    assert proc.stderr.count("'zero key'") == 1
+    assert proc.stderr.startswith("WARNING asymgraph: ")
+    assert ".py:" not in proc.stderr and "Warning:" not in proc.stderr
 
 
 def test_recommend_query_key_beats_file_of_that_name(
@@ -665,7 +685,9 @@ from asymgraph import evaluation, retrieval
 from asymgraph.cli import main
 
 root = Path(sys.argv[1])
-retrieval.SCORE_BLOCK_BYTES = int(sys.argv[2])
+for setting in sys.argv[2:]:   # NAME=bytes or rows, a block size to set
+    name, value = setting.split("=")
+    setattr(retrieval, name, int(value))
 corpus, model = root / "corpus", root / "model"
 edges, features = corpus / "edges.tsv", corpus / "features.tsv"
 
@@ -715,17 +737,19 @@ PIPELINE_2K_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("budget", [retrieval.SCORE_BLOCK_BYTES, 1, 64 << 20],
-                         ids=["default", "1B", "64MiB"])
+@pytest.mark.parametrize("budget", [
+    (), ("SCORE_BLOCK_BYTES=1", "RANK_BLOCK_BYTES=1"),
+    (f"SCORE_BLOCK_BYTES={64 << 20}", f"RANK_BLOCK_BYTES={64 << 20}",
+     f"RANK_BLOCK_ROWS={1 << 20}")], ids=["default", "1B", "64MiB"])
 def test_default_corpus_pipeline_outputs_are_pinned(tmp_path, budget):
     """synth --seed 1, train --epochs 1, embed, recommend over 200 keys,
     coldstart over 20 cold rows and all five eval tasks, in one process,
-    write the pinned bytes at the default block budget, at 1-row blocks
-    and at one block for everything."""
+    write the pinned bytes at the default block sizes, at 1-row blocks
+    and at one block for everything (64 MiB caps)."""
     env = with_src({**os.environ, "OPENBLAS_NUM_THREADS": "1",
                     "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
     proc = subprocess.run([sys.executable, "-c", PIPELINE_2K, str(tmp_path),
-                           str(budget)],
+                           *budget],
                           capture_output=True, text=True, cwd=PKG_ROOT,
                           env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]

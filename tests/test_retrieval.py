@@ -167,13 +167,95 @@ def score_blocks(draw):
     return scores, draw(st.integers(1, n + 3)), rows, ids
 
 
-@given(score_blocks())
+@st.composite
+def sampled_score_blocks(draw):
+    """Blocks of 16 to 20 rows and 160k columns or more, which take the
+    sampled cut: quarter-step scores (ties), with entries lifted far above
+    the every-4th-column sample in other columns, repeated rows, rows
+    whose sample is wholly excluded, NaN entries in some rows, and a k
+    above the sample size now and then (a single partition again)."""
+    b = draw(st.integers(16, 20))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(160 * k - 3, 160 * k + 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scores = rng.integers(-4, 5, size=(b, n)) / 4
+    lift = (rng.random((b, n)) < draw(st.sampled_from([0.02, 0.2, 0.6]))) \
+        & (np.arange(n) % 4 != 0)
+    scores += 8 * lift
+    for r in draw(st.lists(st.integers(0, b - 1), max_size=4)):
+        scores[r] = scores[draw(st.integers(0, b - 1))]
+    count = draw(st.integers(0, 2 * n))
+    pairs = list(zip(rng.integers(0, b, count).tolist(),
+                     rng.integers(0, n, count).tolist()))
+    for r in draw(st.lists(st.integers(0, b - 1), max_size=3)):
+        pairs += [(r, i) for i in range(0, n, 4)]
+    for r in draw(st.lists(st.integers(0, b - 1), max_size=1)):
+        pairs += [(r, i) for i in range(n)]
+    if draw(st.integers(0, 3)) == 0:
+        scores[draw(st.integers(0, b - 1)), rng.choice(
+            n, draw(st.integers(1, 2 * k)), replace=False)] = np.nan
+    rows = np.array([r for r, _ in pairs], dtype=np.int64)
+    ids = np.array([i for _, i in pairs], dtype=np.int64)
+    if draw(st.integers(0, 9)) == 0:
+        k = draw(st.integers((n + 3) // 4 + 1, n + 3))
+    return scores, k, rows, ids
+
+
+@settings(max_examples=200)
+@given(score_blocks() | sampled_score_blocks())
 def test_top_k_by_score_matches_lexsort_oracle(case):
+    """Every row is the lexsort oracle's; a row with NaN scores (which the
+    cut places above every number) is its own 1-row block's. The block
+    rescores the (row, id) candidates that its rows alone, each cut by
+    one partition, rescore."""
     scores, k, rows, ids = case
-    got = top_k_by_score(scores.copy(), k, rows, ids)
+    seen = []
+
+    def rescore(block, row):
+        def lookup(r, i):
+            seen.append((block, (r + row).tolist(), i.tolist()))
+            return scores[r + row, i]
+        return lookup
+
+    got = top_k_by_score(scores.copy(), k, rows, ids,
+                         rescore=rescore("block", 0))
+    alone = [top_k_by_score(scores[r:r + 1].copy(), k, 0 * ids[rows == r],
+                            ids[rows == r], rescore=rescore("alone", r))[0]
+             for r in range(len(scores))]
     want = [lexsort_top_k(scores[r], k, ids[rows == r])
+            if not np.isnan(scores[r]).any() else alone[r]
             for r in range(len(scores))]
-    assert got == want
+    assert _bits(got) == _bits(want)
+    block = [list(c[1:]) for c in seen if c[0] == "block"]
+    assert block == [[sum((c[j] for c in seen if c[0] == "alone"), [])
+                      for j in (1, 2)]]
+
+
+@pytest.mark.parametrize("b", [1, 16])
+@pytest.mark.parametrize("top", [0, 1])
+def test_top_k_by_score_rescores_exactly_the_entries_within_delta(b, top):
+    """A 1-row block (one partition) and a 16-row one (the sampled cut),
+    with the best float32 score in a sampled column (0) or not (1): an
+    entry within delta below it is rescored and wins, one twice delta
+    below it is not rescored. With all but one id excluded and k = 2, a row
+    returns that id alone."""
+    n, delta = 320, 2.0 ** -20
+    scores = np.tile(np.linspace(-1, 0, n, dtype=np.float32), (b, 1))
+    # 4 float32 ulps below 1, within delta; and twice delta below 1
+    scores[:, top], scores[:, 5], scores[:, 9] = 1, 1 - 2.0 ** -22, \
+        1 - 2.0 ** -19
+    # a rescore that reverses the three: only a candidate can win
+    boost = {top: 1.0, 5: 2.0, 9: 3.0}
+
+    def rescore(rows, ids):
+        return np.array([boost.get(i, -1.0) for i in ids.tolist()])
+
+    none = np.zeros(0, dtype=np.int64)
+    got = top_k_by_score(scores.copy(), 1, none, none, delta, rescore)
+    assert got == [[(5, 2.0)]] * b
+    rows, ids = np.divmod(np.flatnonzero(np.arange(b * n) % n != 9), n)
+    got = top_k_by_score(scores.copy(), 2, rows, ids, delta, rescore)
+    assert got == [[(9, 3.0)]] * b
 
 
 @st.composite
@@ -217,8 +299,8 @@ def test_batch_matches_oracle_for_every_block_size(case):
     if unknown:
         with pytest.raises(KeyError, match=re.escape(str(unknown[:5]))):
             batch_recommend(index, queries, k, filter=filter, mode=mode)
-    for budget in (1, 3 * 8 * n, retrieval.SCORE_BLOCK_BYTES):
-        with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", budget), \
+    for budget in (1, 6 * 4 * n, retrieval.RANK_BLOCK_BYTES):
+        with mock.patch.object(retrieval, "RANK_BLOCK_BYTES", budget), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rankings = batch_recommend(index, known, k, filter=filter,
@@ -265,8 +347,45 @@ def near_tie_cases(draw):
             draw(st.sampled_from(["related", "similar"])))
 
 
+@st.composite
+def wide_near_tie_cases(draw):
+    """16 to 24 queries over 160k products or more: one block of them takes
+    the sampled cut. A few drawn rows, and each other row one of them
+    repeated, moved by a float64 ulp, or moved by 2^-24 to 2^-20 relative
+    (a near tie at float32 resolution); query rows scaled by 2^+-30. Rows
+    at ids that are multiples of 4, which the sample reads, may be scaled
+    by 2^-20, so that its bound sits far below the k-th score of most
+    queries; unscaled, it often ties that score."""
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(160 * k - 3, 160 * k + 40))
+    d = draw(st.sampled_from([1, 2, 8, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def matrix():
+        m = rng.integers(1, 9)
+        mat = rng.normal(size=(m, d))[rng.integers(0, m, n)]
+        move = rng.integers(0, 4, n)
+        mat[move == 1] = np.nextafter(mat[move == 1], -np.inf)
+        mat[move == 2] = np.nextafter(mat[move == 2], np.inf)
+        step = (move == 3).sum()
+        mat[move == 3] *= 1 + rng.choice([-1.0, 1.0], (step, d)) \
+            * 2.0 ** -rng.integers(20, 25, (step, 1))
+        return mat
+
+    theta_s = matrix() * 2.0 ** rng.integers(-30, 31, (n, 1))
+    theta_t = matrix()
+    if draw(st.booleans()):
+        theta_s[::4] *= 2.0 ** -20
+        theta_t[::4] *= 2.0 ** -20
+    cp = rng.integers(0, n, (rng.integers(0, 2 * n), 2))
+    queries = rng.integers(0, n, draw(st.integers(16, 24))).tolist()
+    return (theta_s, theta_t, build_graph(cp, [], n), queries, k,
+            draw(st.sampled_from(retrieval.FILTERS)),
+            draw(st.sampled_from(["related", "similar"])))
+
+
 @settings(max_examples=300)
-@given(near_tie_cases())
+@given(near_tie_cases() | wide_near_tie_cases())
 def test_near_ties_match_canonical_brute_force(case):
     """On unquantised near-ties, every block size gives the bits of a
     canonical scoring of the whole catalogue; the ids are the per-query
@@ -279,8 +398,8 @@ def test_near_ties_match_canonical_brute_force(case):
     want = [_oracle_ranking(index, q, k, filter, mode) for q in queries]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for budget in (1, 3 * 8 * n, retrieval.SCORE_BLOCK_BYTES):
-            with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", budget):
+        for budget in (1, 6 * 4 * n, retrieval.RANK_BLOCK_BYTES):
+            with mock.patch.object(retrieval, "RANK_BLOCK_BYTES", budget):
                 got = batch_recommend(index, queries, k, filter=filter,
                                       mode=mode)
             assert _bits(got) == _bits(want)
@@ -342,7 +461,7 @@ def float32_cases(draw):
 
 def _float32_pass_matches_oracle(index, qs, k, filter, mode):
     """Rank qs[:1], qs[:3] and all of qs in blocks of 1 row, 7 rows and the
-    default budget; each must give the float64 oracle's ids and bits."""
+    default 128 rows; each must give the float64 oracle's ids and bits."""
     related = mode == "related"
     n = index.num_products
     with warnings.catch_warnings():
@@ -351,8 +470,8 @@ def _float32_pass_matches_oracle(index, qs, k, filter, mode):
             want = float64_rank_vectors(
                 index, index.theta_s[rows], k,
                 *retrieval._exclusions(index, rows, filter), related)
-            for budget in (4 * n, 7 * 4 * n, retrieval.SCORE_BLOCK_BYTES):
-                with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", budget):
+            for budget in (4 * n, 7 * 4 * n, retrieval.RANK_BLOCK_BYTES):
+                with mock.patch.object(retrieval, "RANK_BLOCK_BYTES", budget):
                     got = batch_recommend(index, rows, k, filter=filter,
                                           mode=mode)
                 assert _bits(got) == _bits(want)
@@ -386,23 +505,24 @@ def test_float32_pass_matches_oracle_with_non_finite_rows(case, bad_t, bad_q,
 
 @pytest.mark.parametrize("rows", [1, 7, None])
 def test_batch_is_one_top_k_call_per_score_block(monkeypatch, rows):
-    """`batch_recommend` ranks q queries in ceil(q / rows) score blocks of
-    SCORE_BLOCK_BYTES // (4 n) rows each."""
-    n = 40
-    theta = unit_rows(np.random.default_rng(11).normal(size=(n, 4)))
-    index = make_index(theta, theta)
-    if rows is not None:
-        monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 4 * n * rows)
-    per_block = retrieval.SCORE_BLOCK_BYTES // (4 * n)
-    blocks = []
+    """`batch_recommend` ranks q queries in ceil(q / r) score blocks of r
+    rows, all full but the last: r = RANK_BLOCK_ROWS (128), or fewer where
+    their float32 scores would pass RANK_BLOCK_BYTES (8 MiB), as at 20k
+    products. A cap of 4 n `rows` bytes forces `rows`."""
     top_k = retrieval.top_k_by_score
+    blocks = []
 
     def counted(scores, *args, **kwargs):
         blocks.append(len(scores))
         return top_k(scores, *args, **kwargs)
 
     monkeypatch.setattr(retrieval, "top_k_by_score", counted)
-    queries = np.arange(3 * n) % n
-    batch_recommend(index, queries, 5)
-    assert len(blocks) == math.ceil(len(queries) / per_block)
-    assert sum(blocks) == len(queries) and max(blocks) <= per_block
+    for n, per_block in ((40, rows or 128), (20000, rows or 104)):
+        theta = unit_rows(np.random.default_rng(11).normal(size=(n, 4)))
+        if rows is not None:
+            monkeypatch.setattr(retrieval, "RANK_BLOCK_BYTES", 4 * n * rows)
+        blocks.clear()
+        queries = np.arange(300) % n
+        batch_recommend(make_index(theta, theta), queries, 5)
+        full, rest = divmod(len(queries), per_block)
+        assert blocks == [per_block] * full + [rest] * (rest > 0)
