@@ -1,12 +1,12 @@
 """Cold-start embedding: attach new products to feature-similar warm
 products and run the trained model over the augmented neighbourhoods.
 
-Cold products are embedded in blocks of `retrieval.block_rows(n, 8)` rows,
-one float64 cosine block each, over a disjoint union in which key
-r (n + 1) + u is node u of request r and u = n its cold node: co-view
-neighbour of its warm ids, and last in each of their rows. Sorted by key,
-each request sees the base graph plus its one node, as if alone, and keeps
-its bits. Cold products never see each other or touch the base graph.
+Cold products are embedded in `retrieval.block_rows(n, 8)`-row blocks,
+ranking's rule for float64 cosines (128 at 2k products, 104 at 10k, 10 at
+100k), over a disjoint union where key r (n + 1) + u is node u of request
+r and u = n its cold node: co-view neighbour of its warm ids, last in each
+of their rows. Sorted by key, each request sees the base graph plus its
+one node, as if alone, keeping its bits; none alters the base graph.
 """
 
 from __future__ import annotations
@@ -162,9 +162,9 @@ def embed_cold(g: DirectedProductGraph, features: np.ndarray,
 def recommend_cold_blocks(g, features, params, index, vecs, k: int,
                           k_sim: int = 5, eligible=None):
     """Embed (`embed_cold`) and rank (as `recommend_for_cold`) the rows of
-    `vecs` in blocks of `retrieval.block_rows(n, 8)` rows, drawing warm
-    neighbours and ranked ids from `eligible` (default: all); yields (first
-    row, rankings, warm_ids) per block."""
+    `vecs` in blocks of `retrieval.block_rows(n, 8)` rows, the rule ranking
+    sizes its blocks by, drawing warm neighbours and ranked ids from
+    `eligible` (default: all); yields (first row, rankings, warm_ids)."""
     step = retrieval.block_rows(g.num_nodes, 8)
     for start in range(0, len(vecs), step):
         theta_s, _, warm = embed_cold(g, features, params,

@@ -14,12 +14,12 @@ and canonical error bounds of two scores: float32 never decides an output.
 Non-finite input, or a scale at which canonical scores may overflow or lose
 2^-126 to underflow, keeps every id.
 
-Blocks hold RANK_BLOCK_ROWS queries, fewer only where their float32 scores
-would pass RANK_BLOCK_BYTES. A row's k-th score comes from one partition
-of the row or, in blocks of 16 rows or more whose every 4th column holds
-40k columns or more, from a partition of that sample (a lower bound on
-it) and one of the few entries at or above the bound minus delta. Both
-give the same k-th score, so the same ids are kept.
+Blocks hold `block_rows(n, 4)` queries (128; 20 at 100k products). A
+row's k-th score comes from one partition of the row or, in blocks of 16
+rows or more whose every 4th column holds 40k columns or more, from a
+partition of that sample (a lower bound on it) and one of the few entries
+at or above the bound minus delta. Both give the same k-th score, so the
+same ids are kept.
 """
 
 from __future__ import annotations
@@ -37,19 +37,18 @@ from .model import DualEmbeddings
 FILTERS = ("none", "exclude_query", "exclude_train_neighbors")
 MODES = ("related", "similar")
 
-# Cold-start blocks (`block_rows(n, 8)`): bytes of float64 cosines over
-# the catalogue.
-SCORE_BLOCK_BYTES = 1 << 20
-# Ranking blocks: queries a float32 score block, measured. At 10k products
-# a 128-row sgemm costs about half as much a query as a 26-row one, and
-# 64 rows gain less. The byte cap binds beyond 16,384 products only.
-RANK_BLOCK_ROWS = 128
-RANK_BLOCK_BYTES = 8 << 20
+# Rows and bytes of a score block, measured: at 10k products a 128-row
+# sgemm costs half as much a query as a 26-row one (64 rows gain less).
+# Ranking's float32 blocks get 128 rows up to 16,384 products, 20 at 100k;
+# cold starts' float64 cosine blocks 128 at 2k, 104 at 10k and 10 at 100k.
+SCORE_BLOCK_ROWS = 128
+SCORE_BLOCK_BYTES = 8 << 20
 
 
 def block_rows(n: int, itemsize: int) -> int:
     """Rows per block of `itemsize`-byte scores over `n` products."""
-    return max(1, SCORE_BLOCK_BYTES // (itemsize * max(n, 1)))
+    return max(1, min(SCORE_BLOCK_ROWS,
+                      SCORE_BLOCK_BYTES // (itemsize * max(n, 1))))
 
 
 def _scaled32(m: np.ndarray) -> tuple[np.ndarray, int, float]:
@@ -94,8 +93,9 @@ def _low(kth: np.ndarray, delta, dtype) -> np.ndarray:
 
 
 def _kth(scores: np.ndarray, k: int) -> np.ndarray:
-    """k-th largest of each row (NaN above every number)."""
-    return np.partition(scores, scores.shape[1] - k, axis=1)[:, -k]
+    """Each row's k-th largest, or NaN (keep all) where its top k hold NaN."""
+    top = np.partition(scores, scores.shape[1] - k, axis=1)[:, -k:]
+    return np.where(np.isnan(top).any(axis=1), np.nan, top[:, 0])
 
 
 def _sampled_candidates(scores, k, exclude_rows, exclude_ids, delta):
@@ -125,12 +125,12 @@ def top_k_by_score(scores: np.ndarray, k: int, exclude_rows: np.ndarray,
                    rescore=None) -> list[list[tuple[int, float]]]:
     """Best k of each row of a (queries, catalogue) score block, by
     descending score (or `rescore(rows, ids)`), ties by ascending id. Only
-    entries at least a row's k-th score minus `delta`, rounded down (NaN:
-    all), are sorted. That k-th score comes from one partition of the
-    block, or, given a finite delta, 16 rows or more and 40k columns or
-    more in every 4th column, from `_sampled_candidates`. The block is
-    overwritten: entry (exclude_rows[j], exclude_ids[j]) is set to -inf;
-    -inf is never returned, NaN ranks last."""
+    entries at least a row's k-th score minus `delta`, rounded down (all
+    if NaN or a NaN is among its k best), are sorted. That k-th score
+    comes from one partition of the block, or, given a finite delta, 16
+    rows or more and 40k columns or more in every 4th column, from
+    `_sampled_candidates`. The block is overwritten: entry (exclude_rows[j],
+    exclude_ids[j]) is set to -inf; -inf is never returned, NaN ranks last."""
     b, n = scores.shape
     k = min(k, n)
     if k < 1:
@@ -142,7 +142,7 @@ def top_k_by_score(scores: np.ndarray, k: int, exclude_rows: np.ndarray,
     if b >= 16 and (n + 3) // 4 >= 40 * k and not math.isnan(delta):
         cut = _sampled_candidates(scores, k, exclude_rows, exclude_ids, delta)
     if cut is None:
-        # `~(<)` keeps NaN, which np.partition places above every number
+        # `~(<)` keeps NaN, and every entry where the k-th score is NaN
         keep = ~(scores < _low(_kth(scores, k), delta, scores.dtype)[:, None])
         keep[exclude_rows, exclude_ids] = False
         cut = np.divmod(np.flatnonzero(keep), n)
@@ -162,8 +162,7 @@ def rank_vectors(index: EmbeddingIndex, vecs: np.ndarray, k: int,
                  exclude_rows: np.ndarray, exclude_ids: np.ndarray,
                  related: bool = True) -> list[list[tuple[int, float]]]:
     """Best k (id, canonical score) per query vector, in float32 blocks of
-    RANK_BLOCK_ROWS rows (fewer where a block would pass RANK_BLOCK_BYTES);
-    a zero query vector warns and gets none."""
+    `block_rows(n, 4)` rows; a zero query vector warns and gets none."""
     if k < 1:
         raise ValueError("k must be >= 1")
     target = index.theta_t if related else index.theta_s
@@ -176,7 +175,7 @@ def rank_vectors(index: EmbeddingIndex, vecs: np.ndarray, k: int,
             and -900 <= e_q + e_t <= 1020 - d.bit_length()):
         delta = math.nan   # keeps every id
     excluded = np.sort(exclude_rows * np.int64(n) + exclude_ids)   # by block
-    step = max(1, min(RANK_BLOCK_ROWS, RANK_BLOCK_BYTES // (4 * max(n, 1))))
+    step = block_rows(n, 4)
     results = []
     for s in range(0, len(vecs), step):
         lo, hi = np.searchsorted(excluded, (s * n, (s + step) * n))

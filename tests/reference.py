@@ -98,21 +98,13 @@ def brute_top_k(scores, k, exclude=()):
 
 
 def lexsort_top_k(scores, k, exclude):
-    """One row's best k by a full lexsort on (-score, id), excluded ids
-    pushed to -inf; stops at the first -inf, so exclusions never appear."""
-    if len(exclude):
-        scores = scores.copy()
-        scores[exclude] = -np.inf
-    n = len(scores)
-    order = np.lexsort((np.arange(n), -scores))
-    out = []
-    for i in order:
-        if np.isneginf(scores[i]):
-            break  # only exclusions remain
-        out.append((int(i), float(scores[i])))
-        if len(out) == min(k, n):
-            break
-    return out
+    """One row's best k by a full lexsort on (-score, id), NaN last;
+    excluded ids and -inf scores never appear."""
+    live = np.ones(len(scores), dtype=bool)
+    live[exclude] = False
+    ids = np.flatnonzero(live & ~np.isneginf(scores))
+    order = ids[np.lexsort((ids, -scores[ids]))][:k]
+    return [(int(i), float(scores[i])) for i in order]
 
 
 def gemv_rank(index, qs, k, filter, target):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -103,6 +103,9 @@ def canonical_warm_cases(draw):
 
 @settings(max_examples=200)
 @given(canonical_warm_cases())
+# a NaN-featured product ranks last: it must not displace product 2
+@example((np.array([[1, 0], [np.nan, 1], [0.9, 0.1], [0, 1]]),
+          np.array([[1, 0.05]]), 2, None))
 def test_find_warm_neighbors_matches_canonical_brute_force(case):
     """At blocks of 1 row, 3 rows and all rows, every row's warm ids are
     the canonical oracle's, on near ties and scaled rows, with no

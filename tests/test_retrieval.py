@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -201,11 +201,16 @@ def sampled_score_blocks(draw):
     return scores, k, rows, ids
 
 
+NO_IDS = np.zeros(0, dtype=np.int64)
+
+
 @settings(max_examples=200)
 @given(score_blocks() | sampled_score_blocks())
+# a NaN, which np.partition places above every number, ranks last and
+# does not count toward the k-th score: 3, not the NaN, is second
+@example((np.array([[5, np.nan, 3, 1]]), 2, NO_IDS, NO_IDS))
 def test_top_k_by_score_matches_lexsort_oracle(case):
-    """Every row is the lexsort oracle's; a row with NaN scores (which the
-    cut places above every number) is its own 1-row block's. The block
+    """Every row is the lexsort oracle's, NaN scores last. The block
     rescores the (row, id) candidates that its rows alone, each cut by
     one partition, rescore."""
     scores, k, rows, ids = case
@@ -223,9 +228,8 @@ def test_top_k_by_score_matches_lexsort_oracle(case):
                             ids[rows == r], rescore=rescore("alone", r))[0]
              for r in range(len(scores))]
     want = [lexsort_top_k(scores[r], k, ids[rows == r])
-            if not np.isnan(scores[r]).any() else alone[r]
             for r in range(len(scores))]
-    assert _bits(got) == _bits(want)
+    assert _bits(got) == _bits(want) == _bits(alone)
     block = [list(c[1:]) for c in seen if c[0] == "block"]
     assert block == [[sum((c[j] for c in seen if c[0] == "alone"), [])
                       for j in (1, 2)]]
@@ -299,8 +303,8 @@ def test_batch_matches_oracle_for_every_block_size(case):
     if unknown:
         with pytest.raises(KeyError, match=re.escape(str(unknown[:5]))):
             batch_recommend(index, queries, k, filter=filter, mode=mode)
-    for budget in (1, 6 * 4 * n, retrieval.RANK_BLOCK_BYTES):
-        with mock.patch.object(retrieval, "RANK_BLOCK_BYTES", budget), \
+    for budget in (1, 6 * 4 * n, retrieval.SCORE_BLOCK_BYTES):
+        with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", budget), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rankings = batch_recommend(index, known, k, filter=filter,
@@ -398,8 +402,8 @@ def test_near_ties_match_canonical_brute_force(case):
     want = [_oracle_ranking(index, q, k, filter, mode) for q in queries]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for budget in (1, 6 * 4 * n, retrieval.RANK_BLOCK_BYTES):
-            with mock.patch.object(retrieval, "RANK_BLOCK_BYTES", budget):
+        for budget in (1, 6 * 4 * n, retrieval.SCORE_BLOCK_BYTES):
+            with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", budget):
                 got = batch_recommend(index, queries, k, filter=filter,
                                       mode=mode)
             assert _bits(got) == _bits(want)
@@ -470,8 +474,9 @@ def _float32_pass_matches_oracle(index, qs, k, filter, mode):
             want = float64_rank_vectors(
                 index, index.theta_s[rows], k,
                 *retrieval._exclusions(index, rows, filter), related)
-            for budget in (4 * n, 7 * 4 * n, retrieval.RANK_BLOCK_BYTES):
-                with mock.patch.object(retrieval, "RANK_BLOCK_BYTES", budget):
+            for budget in (4 * n, 7 * 4 * n, retrieval.SCORE_BLOCK_BYTES):
+                with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES",
+                                       budget):
                     got = batch_recommend(index, rows, k, filter=filter,
                                           mode=mode)
                 assert _bits(got) == _bits(want)
@@ -506,8 +511,8 @@ def test_float32_pass_matches_oracle_with_non_finite_rows(case, bad_t, bad_q,
 @pytest.mark.parametrize("rows", [1, 7, None])
 def test_batch_is_one_top_k_call_per_score_block(monkeypatch, rows):
     """`batch_recommend` ranks q queries in ceil(q / r) score blocks of r
-    rows, all full but the last: r = RANK_BLOCK_ROWS (128), or fewer where
-    their float32 scores would pass RANK_BLOCK_BYTES (8 MiB), as at 20k
+    rows, all full but the last: r = SCORE_BLOCK_ROWS (128), or fewer where
+    their float32 scores would pass SCORE_BLOCK_BYTES (8 MiB), as at 20k
     products. A cap of 4 n `rows` bytes forces `rows`."""
     top_k = retrieval.top_k_by_score
     blocks = []
@@ -520,9 +525,22 @@ def test_batch_is_one_top_k_call_per_score_block(monkeypatch, rows):
     for n, per_block in ((40, rows or 128), (20000, rows or 104)):
         theta = unit_rows(np.random.default_rng(11).normal(size=(n, 4)))
         if rows is not None:
-            monkeypatch.setattr(retrieval, "RANK_BLOCK_BYTES", 4 * n * rows)
+            monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 4 * n * rows)
         blocks.clear()
         queries = np.arange(300) % n
         batch_recommend(make_index(theta, theta), queries, 5)
         full, rest = divmod(len(queries), per_block)
         assert blocks == [per_block] * full + [rest] * (rest > 0)
+
+
+@pytest.mark.parametrize("n, itemsize, rows", [
+    (2000, 4, 128), (20000, 4, 104), (100000, 4, 20),
+    (2000, 8, 128), (10000, 8, 104), (100000, 8, 10)])
+def test_block_rows_is_one_rule_for_ranking_and_cold_starts(n, itemsize,
+                                                            rows):
+    """Ranking's float32 blocks (itemsize 4) and cold starts' float64 ones
+    (itemsize 8) take SCORE_BLOCK_ROWS rows, fewer where a block would pass
+    SCORE_BLOCK_BYTES; never fewer than 1."""
+    assert retrieval.block_rows(n, itemsize) == rows
+    with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 1):
+        assert retrieval.block_rows(n, itemsize) == 1
