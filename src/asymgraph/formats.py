@@ -9,7 +9,9 @@
   embed dim; stacks of per-layer row-major `<f8` matrices (layer 0 is
   input dim x embed dim, the rest embed dim x embed dim); a fixed tail.
 
-Text readers skip blank and `#` lines. Readers raise DataFormatError,
+Text readers skip blank and `#` lines. They check and convert a whole
+file at once, and read a file that fails those checks again line by line,
+so that the error names its line. Readers raise DataFormatError,
 naming the line where there is one, for input they cannot represent:
 unknown, empty or duplicate keys, non-finite or ragged values, non-UTF-8
 text, a size that disagrees with its header. Text writers refuse, before
@@ -20,6 +22,7 @@ starting with `#`, or holding a tab or a line break.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 import struct
@@ -85,8 +88,101 @@ def save_config(cfg, path) -> None:
             f.write(f"{fld.name} = {val}\n")
 
 
+def read_table(path, tabs, head=0) -> tuple[list[str], list[str]] | None:
+    """One read of a UTF-8 file, split into lines as `text_lines` splits
+    it: its first `head` lines, and the tab-separated fields of the other
+    lines, less blank and `#` ones, in order. None if the file is not
+    UTF-8 or one of those lines does not hold exactly `tabs` tabs."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError:
+        return None
+    top = lines[:head]
+    rows = [s for s in lines[head:] if s and s[0] != "#"]
+    del lines
+    if set(map(str.count, rows, itertools.repeat("\t"))) - {tabs}:
+        return None
+    text = "\t".join(rows)
+    del rows                        # hold the text once, not twice
+    return top, text.split("\t") if text else []
+
+
+# Digits, signs, points and exponents: on these bytes `np.fromstring`
+# either refuses a field or reads the number `float` reads from it.
+_FLOAT_BYTES = b"0123456789+-.eE,"
+
+
+def _parse_floats(fields, prefixes, count) -> np.ndarray | None:
+    """The `count` comma-separated floats of `fields`, less their cycled
+    `prefixes`, all finite, from one conversion; None if the fields hold
+    anything else. Empties `fields`, so that the text is not held twice.
+
+    `np.fromstring` reads a long double with the C library, about twice
+    as fast as it reads a double. Rounding that again gives the double
+    `float` reads, unless it fell on a tie between two doubles (where
+    `wide + (wide - flat)` is the other double). A tie returns None."""
+    blob = ",".join(map(str.removeprefix, fields, itertools.cycle(prefixes)))
+    fields.clear()
+    blob = blob.encode()
+    if blob.translate(None, _FLOAT_BYTES):
+        return None
+    try:
+        wide = np.fromstring(blob, dtype=np.longdouble, sep=",")
+    except ValueError:  # an empty or malformed field
+        return None
+    del blob
+    if wide.size != count:
+        return None
+    # past the largest double, a number casts to inf, and inf - inf is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = wide.astype(np.float64)
+        other = wide - flat
+        other += wide
+        tie = (wide != flat) & (other.astype(np.float64) == other)
+    return None if tie.any() or not np.isfinite(flat).all() else flat
+
+
 def read_rows(path, prefixes=("",)) -> tuple[list[str], list[np.ndarray]]:
-    """Read a text-row file: (keys, one rows x dim matrix per prefix)."""
+    """Read a text-row file: (keys, one rows x dim matrix per prefix).
+
+    The whole file is checked and converted at once; a file that does
+    not pass is read again line by line, which names the faulty line."""
+    got = _bulk_rows(path, prefixes)
+    return got if got is not None else _scan_rows(path, prefixes)
+
+
+def _bulk_rows(path, prefixes):
+    """`read_rows` of a well-formed file, in a few list-wide checks and
+    one conversion, or None for any file it does not accept. A prefix
+    holds no comma."""
+    g = len(prefixes)
+    got = read_table(path, g, head=1)
+    if got is None:
+        return None
+    (header,), fields = got
+    try:
+        n, d = map(int, header.split("\t"))
+    except ValueError:
+        return None
+    if len(fields) != n * (g + 1):
+        return None
+    keys = fields[::g + 1]
+    del fields[::g + 1]             # each row's groups, prefixed
+    if not all(keys) or len(set(keys)) != n \
+            or not all(map(str.startswith, fields, itertools.cycle(prefixes))) \
+            or set(map(str.count, fields, itertools.repeat(","))) != {d - 1}:
+        return None
+    flat = _parse_floats(fields, prefixes, n * g * d)
+    if flat is None:
+        return None
+    table = flat.reshape(n, g, d)
+    return keys, [np.ascontiguousarray(table[:, j]) for j in range(g)]
+
+
+def _scan_rows(path, prefixes):
+    """`read_rows` one line at a time, raising DataFormatError at the
+    first faulty line."""
     lines = text_lines(path)
     header = next(lines, (1, ""))[1]
     try:

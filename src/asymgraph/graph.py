@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
-from .formats import read_rows, text_lines, write_pairs, write_rows
+from .formats import (read_rows, read_table, text_lines, write_pairs,
+                      write_rows)
 
 
 class KeyMap:
@@ -44,6 +45,11 @@ class KeyMap:
             return self._ids[key]
         except KeyError:
             raise KeyError(f"unknown product key: {key!r}") from None
+
+    def ids_of(self, keys) -> np.ndarray:
+        """Ids of a sequence of keys as int64; KeyError on an unknown key."""
+        return np.fromiter(map(self._ids.__getitem__, keys), dtype=np.int64,
+                           count=len(keys))
 
     def key_of(self, idx: int) -> str:
         return self._keys[idx]
@@ -108,9 +114,7 @@ def _reversed_keys(keys: np.ndarray, num_nodes: int) -> np.ndarray:
 
 def _checked_pairs(pairs, num_nodes: int, name: str) -> np.ndarray:
     """Pairs as (m, 2) int64 with self-loops dropped and ids range-checked."""
-    arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
-                     dtype=np.int64)
-    arr = arr.reshape(-1, 2)
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     arr = arr[arr[:, 0] != arr[:, 1]]
     if len(arr) and (arr.min() < 0 or arr.max() >= num_nodes):
         raise DataFormatError(
@@ -250,9 +254,39 @@ def load_edge_file(path, key_map: KeyMap | None = None):
     Lines starting with `#` are ignored; an empty key, or a destination
     key starting with `#` (a comment line once a dump reorders a co-view
     pair), is malformed. With a key map, unknown keys are an error too.
-    Both errors report every offending line.
-    Returns (cp_pairs, cv_pairs, key_map) with dense-id pairs.
+    Both errors report every offending line: a file the whole-file checks
+    do not pass is read again line by line to name them.
+    Returns (cp_pairs, cv_pairs, key_map), the pairs as (m, 2) int64 ids.
     """
+    got = _bulk_edges(path, key_map)
+    return got if got is not None else _scan_edges(path, key_map)
+
+
+def _bulk_edges(path, key_map):
+    """`load_edge_file` of a well-formed file, in a few list-wide checks,
+    or None for any file it does not accept."""
+    table = read_table(path, 2)
+    if table is None:
+        return None
+    fields = table[1]
+    kinds = fields[2::3]
+    del fields[2::3]                # src, dst, src, dst, ...
+    keys = dict.fromkeys(fields)    # in first-appearance order
+    if not set(kinds) <= {"cp", "cv"} or "" in keys \
+            or any(k.startswith("#") for k in keys):
+        return None
+    km = KeyMap(keys) if key_map is None else key_map
+    try:
+        ids = km.ids_of(fields).reshape(-1, 2)
+    except KeyError:
+        return None
+    is_cp = np.fromiter(map("cp".__eq__, kinds), dtype=bool, count=len(kinds))
+    return ids[is_cp], ids[~is_cp], km
+
+
+def _scan_edges(path, key_map):
+    """`load_edge_file` one line at a time, collecting every faulty line
+    before it raises DataFormatError."""
     grow = key_map is None
     km = KeyMap() if grow else key_map
     cp, cv = [], []
@@ -283,7 +317,8 @@ def load_edge_file(path, key_map: KeyMap | None = None):
     if unknown_lines:
         raise DataFormatError(
             f"{path}: unknown product keys on lines {_fmt_lines(unknown_lines)}")
-    return cp, cv, km
+    return (np.array(cp, dtype=np.int64).reshape(-1, 2),
+            np.array(cv, dtype=np.int64).reshape(-1, 2), km)
 
 
 def _fmt_lines(lines: list[int], limit: int = 20) -> str:

@@ -250,6 +250,8 @@ def train(g: DirectedProductGraph, features: np.ndarray, cfg: TrainConfig,
     params = state.params
 
     out = Path(out_dir) if out_dir is not None else None
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     history: list[EpochStats] = []
     stop = False
     for epoch in range(state.epoch, cfg.max_epochs):

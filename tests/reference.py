@@ -519,6 +519,111 @@ def loop_sample_non_edges(g, count, seed=0):
 
 
 # ----------------------------------------------------------------------
+# The text readers' line scans, kept verbatim from before the readers
+# parsed a whole file at once: `formats.read_rows` and
+# `graph.load_edge_file` must give the same keys and bits, or raise the
+# same DataFormatError text, on every file.
+# ----------------------------------------------------------------------
+
+def _text_lines(path):
+    """Yield (line number, line without its newline) from a UTF-8 file."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            for lineno, line in enumerate(f, start=1):
+                yield lineno, line.rstrip("\n")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") \
+                from None
+
+
+def line_read_rows(path, prefixes=("",)):
+    """Read a text-row file: (keys, one rows x dim matrix per prefix)."""
+    lines = _text_lines(path)
+    header = next(lines, (1, ""))[1]
+    try:
+        n, d = map(int, header.split("\t"))
+    except ValueError:
+        n = d = -1
+    if n < 0 or d < 0:
+        raise DataFormatError(f"{path}: bad header {header!r} on line 1")
+    keys, rows = {}, []
+    for lineno, line in lines:
+        if not line or line.startswith("#"):
+            continue
+        if len(rows) == n:
+            raise DataFormatError(
+                f"{path}: more rows than the {n} the header declares "
+                f"on line {lineno}")
+        key, *blobs = line.split("\t")
+        if not key or len(blobs) != len(prefixes) or not all(
+                b.startswith(p) for b, p in zip(blobs, prefixes)):
+            raise DataFormatError(f"{path}: bad row on line {lineno}")
+        if key in keys:
+            raise DataFormatError(
+                f"{path}: duplicate key {key!r} on line {lineno}")
+        groups = [b[len(p):].split(",") for b, p in zip(blobs, prefixes)]
+        try:
+            vals = np.array(groups, dtype=np.float64)
+        except ValueError:  # ragged groups or not floats
+            vals = np.array([math.nan])
+        if vals.shape != (len(prefixes), d) or not np.isfinite(vals).all():
+            raise DataFormatError(
+                f"{path}: line {lineno} does not hold {d} finite floats "
+                f"per group")
+        keys[key] = None
+        rows.append(vals)
+    if len(rows) != n:
+        raise DataFormatError(
+            f"{path}: header declares {n} rows, found {len(rows)}")
+    table = np.array(rows, dtype=np.float64).reshape(n, len(prefixes), d)
+    return list(keys), [np.ascontiguousarray(table[:, j])
+                        for j in range(len(prefixes))]
+
+
+def line_load_edge_file(path, key_map=None):
+    """Read a tab-separated edge file: `<src>\\t<dst>\\t<cp|cv>` per line.
+    Returns (cp_pairs, cv_pairs, key_map), the pairs as lists of tuples."""
+    grow = key_map is None
+    km = KeyMap() if grow else key_map
+    cp, cv = [], []
+    bad_lines: list[int] = []
+    unknown_lines: list[int] = []
+    for lineno, line in _text_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[2] not in ("cp", "cv"):
+            bad_lines.append(lineno)
+            continue
+        src, dst, kind = parts
+        if not src or not dst or dst.startswith("#"):  # unwritable keys
+            bad_lines.append(lineno)
+            continue
+        if grow:
+            u, v = km.add(src), km.add(dst)
+        else:
+            if src not in km or dst not in km:
+                unknown_lines.append(lineno)
+                continue
+            u, v = km.id_of(src), km.id_of(dst)
+        (cp if kind == "cp" else cv).append((u, v))
+    if bad_lines:
+        raise DataFormatError(
+            f"{path}: malformed edge lines {_fmt_lines(bad_lines)}")
+    if unknown_lines:
+        raise DataFormatError(
+            f"{path}: unknown product keys on lines {_fmt_lines(unknown_lines)}")
+    return cp, cv, km
+
+
+def _fmt_lines(lines, limit=20):
+    shown = ", ".join(str(x) for x in lines[:limit])
+    if len(lines) > limit:
+        shown += f", ... ({len(lines)} total)"
+    return shown
+
+
+# ----------------------------------------------------------------------
 # Hand-written loaders as they were before the shared codec in
 # `asymgraph.formats`, kept verbatim: the training state at version 1,
 # with its writer to make version-1 files.

@@ -681,11 +681,17 @@ PIPELINE_2K = r"""
 import sys
 from pathlib import Path
 
-from asymgraph import evaluation, retrieval
+from asymgraph import evaluation, formats, graph, retrieval
 from asymgraph.cli import main
 
 root = Path(sys.argv[1])
-for setting in sys.argv[2:]:   # NAME=bytes or rows, a block size to set
+for setting in sys.argv[2:]:   # NAME=bytes or rows, or line-scan
+    if setting == "line-scan":   # every text file read line by line
+        if not (hasattr(formats, "_bulk_rows")
+                and hasattr(graph, "_bulk_edges")):
+            sys.exit("no bulk reader to turn off")
+        formats._bulk_rows = graph._bulk_edges = lambda *args: None
+        continue
     name, value = setting.split("=")
     if not hasattr(retrieval, name):   # a stale name would force nothing
         sys.exit(f"retrieval has no {name}")
@@ -741,13 +747,15 @@ PIPELINE_2K_SHA256 = {
 
 @pytest.mark.parametrize("budget", [
     (), ("SCORE_BLOCK_BYTES=1",),
-    (f"SCORE_BLOCK_BYTES={64 << 20}", f"SCORE_BLOCK_ROWS={1 << 20}")],
-    ids=["default", "1B", "64MiB"])
+    (f"SCORE_BLOCK_BYTES={64 << 20}", f"SCORE_BLOCK_ROWS={1 << 20}"),
+    ("line-scan",)],
+    ids=["default", "1B", "64MiB", "line-scan"])
 def test_default_corpus_pipeline_outputs_are_pinned(tmp_path, budget):
     """synth --seed 1, train --epochs 1, embed, recommend over 200 keys,
     coldstart over 20 cold rows and all five eval tasks, in one process,
-    write the pinned bytes at the default block sizes, at 1-row blocks
-    and at one block for everything (64 MiB and 2^20 rows)."""
+    write the pinned bytes at the default block sizes, at 1-row blocks,
+    at one block for everything (64 MiB and 2^20 rows), and with every
+    text file read by the readers' line scan."""
     env = with_src({**os.environ, "OPENBLAS_NUM_THREADS": "1",
                     "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
     proc = subprocess.run([sys.executable, "-c", PIPELINE_2K, str(tmp_path),

@@ -7,6 +7,7 @@ DataFormatError and nothing else.
 """
 
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -15,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
+from asymgraph import formats, graph
 from asymgraph.errors import DataFormatError
 from asymgraph.evaluation import make_edge_split, train_graph
-from asymgraph.formats import HEADER, load_config, save_config, write_rows
+from asymgraph.formats import (HEADER, load_config, read_rows, save_config,
+                               write_rows)
 from asymgraph.graph import (KeyMap, build_graph, dump_edge_file,
                              dump_feature_file, load_edge_file,
                              load_feature_file)
@@ -336,6 +339,250 @@ def test_edge_file_roundtrip(scratch, pairs, cv):
     assert np.array_equal(g2.cv_pairs, g.cv_pairs)
 
 
+# --- bulk readers against their line scans ------------------------------
+
+# Float texts the bulk path reads, and ones it leaves to the line scan:
+# underscores, hex, non-finite, past the largest double, and
+# 2**53 + 1 (a tie of two doubles) read exactly or, with digits past the
+# long double's, rounded to the tie.
+ODD_FLOATS = ["1_0", "0x10", "inf", "-inf", "nan", "1e400", "1e5000",
+              "1e-400", "", " 1", "1.", ".5", "+2", "-0", "1e", "--1",
+              "1..2", "1-2", "١", "9007199254740993",
+              "9007199254740993.00000000000000000001",
+              "1.7976931348623158e308", "1.7976931348623159e308"]
+finite_texts = st.one_of(finite.map(lambda x: format(x, ".17g")),
+                         finite.map(repr))
+ORACLE = settings(max_examples=300)
+
+
+def _swap(draw, lines, edit):
+    """`lines` with `edit(line)` at a drawn index; unchanged if empty."""
+    if lines:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = edit(lines[i])
+    return lines
+
+
+def _file_bytes(draw, lines):
+    """`lines` with blank and `#` lines slipped in, joined by a drawn
+    line end (`\n`, `\r\n` or a lone `\r`), with or without a last one."""
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "# note", "#\tx\ty"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    tail = end if draw(st.booleans()) else ""
+    return (end.join(lines) + tail).encode()
+
+
+def _balanced(draw, lines, grow, shrink):
+    """`lines` with one line edited by `grow` and another by `shrink`: a
+    fault that cancels out in whole-file counts."""
+    if len(lines) >= 2:
+        i, j = draw(st.permutations(range(len(lines))))[:2]
+        lines[i], lines[j] = grow(lines[i]), shrink(lines[j])
+    return lines
+
+
+def _balanced(draw, lines, grow, shrink):
+    """`lines` with one line edited by `grow` and another by `shrink`: a
+    fault that cancels out in whole-file counts."""
+    if len(lines) >= 2:
+        i, j = draw(st.permutations(range(len(lines))))[:2]
+        lines[i], lines[j] = grow(lines[i]), shrink(lines[j])
+    return lines
+
+
+@st.composite
+def row_files(draw):
+    """(prefixes, bytes of a text-row file): well-formed rows and at most
+    one fault: an odd float, a float or a field moved from one row to
+    another, a bad key or prefix, or a bad header."""
+    prefixes = draw(st.sampled_from([("",), ("S:", "T:")]))
+    n, d = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    floats = st.lists(finite_texts, min_size=d, max_size=d).map(",".join)
+    lines = [f"p{i}" + "".join("\t" + p + draw(floats) for p in prefixes)
+             for i in range(n)]
+    header = f"{n}\t{d}"
+    fault = draw(st.sampled_from(
+        ["none", "odd", "floats", "fields", "key", "prefix", "header"]))
+    if fault == "odd":
+        odd = draw(st.sampled_from(ODD_FLOATS))
+        lines = _swap(draw, lines,       # in place of a row's last float
+                      lambda s: re.sub(r"[^\t:,]*$", lambda m: odd, s, 1))
+    elif fault == "floats":
+        lines = _balanced(draw, lines, lambda s: s + ",1.5",
+                          lambda s: s.rpartition(",")[0] or s)
+    elif fault == "fields":
+        lines = _balanced(draw, lines, lambda s: s + "\tx",
+                          lambda s: s.rpartition("\t")[0])
+    elif fault == "key":
+        key = draw(st.sampled_from(["", "p0", "#p", "S:1"]))
+        lines = _swap(draw, lines, lambda s: key + s[s.index("\t"):])
+    elif fault == "prefix":       # one missing, or one too many
+        lines = _swap(draw, lines, lambda s: s.replace("\tS:", "\t", 1)
+                      if "\tS:" in s else s.replace("\t", "\tT:", 1))
+    elif fault == "header":
+        header = draw(st.sampled_from([
+            f"{n + 1}\t{d}", f"{n - 1}\t{d}", f"{n}\t{d + 1}", f"{n}\t0",
+            f"{n}", f"{n}\t{d}\t1", "x", "", f"# {n}\t{d}", f"{n:_}\t0{d}"]))
+    return prefixes, _file_bytes(draw, [header] + lines)
+
+
+@st.composite
+def edge_files(draw):
+    """(a key map or None, bytes of an edge file): edges over keys the key
+    map may not hold, maybe a `#` first line, and at most one fault: a
+    bad label, an empty, `#` or unknown key, or a field moved from one
+    line to another."""
+    edge = st.tuples(st.sampled_from(["p0", "p1", "p2"]),
+                     st.sampled_from(["p0", "p1", "p2"]),
+                     st.sampled_from(["cp", "cv"])).map("\t".join)
+    lines = draw(st.lists(edge, max_size=6))
+    fault = draw(st.sampled_from(
+        ["none", "none", "label", "empty", "hash", "unknown", "fields"]))
+    if fault == "fields":
+        lines = _balanced(draw, lines, lambda s: s + "\tcp",
+                          lambda s: s.rpartition("\t")[0])
+    elif fault != "none":
+        col, key = {"label": (2, draw(st.sampled_from(["CP", "c", "cp "]))),
+                    "empty": (draw(st.integers(0, 1)), ""),
+                    "hash": (1, "#p"),
+                    "unknown": (draw(st.integers(0, 1)), "q")}[fault]
+        lines = _swap(draw, lines, lambda s: "\t".join(
+            key if c == col else f for c, f in enumerate(s.split("\t"))))
+    if draw(st.booleans()):
+        lines.insert(0, "#\tsrc\tdst")
+    km = draw(st.sampled_from([None, ["p0", "p1", "p2"], ["p2", "p0"]]))
+    return km, _file_bytes(draw, lines)
+
+
+def _outcome(load, *args):
+    """What a reader gives: its result, or its DataFormatError text."""
+    try:
+        return load(*args)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+def _assert_rows_match_line_scan(path, prefixes):
+    got = _outcome(read_rows, path, prefixes)
+    want = _outcome(ref.line_read_rows, path, prefixes)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got[0] == want[0]
+    for a, b in zip(got[1], want[1], strict=True):
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _assert_edges_match_line_scan(path, keys):
+    got = _outcome(load_edge_file, path, keys and KeyMap(keys))
+    want = _outcome(ref.line_load_edge_file, path, keys and KeyMap(keys))
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == np.int64 and a.shape == (len(b), 2)
+        assert a.tolist() == [list(p) for p in b]
+    assert got[2].keys() == want[2].keys()
+
+
+@pytest.mark.filterwarnings("error")
+@ORACLE
+@given(case=row_files())
+def test_row_reader_matches_its_line_scan(scratch, case):
+    """`read_rows` gives the line scan's keys and bits, or raises its
+    DataFormatError text, on valid and fuzzed files."""
+    prefixes, blob = case
+    path = scratch / "rows.tsv"
+    path.write_bytes(blob)
+    _assert_rows_match_line_scan(path, prefixes)
+
+
+@pytest.mark.filterwarnings("error")
+@ORACLE
+@given(case=edge_files())
+def test_edge_reader_matches_its_line_scan(scratch, case):
+    """`load_edge_file` gives the line scan's pairs and key map, or raises
+    its DataFormatError text, on valid and fuzzed files."""
+    keys, blob = case
+    path = scratch / "edges.tsv"
+    path.write_bytes(blob)
+    _assert_edges_match_line_scan(path, keys)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body", [
+    "2\t2\r\np0\t1,2\r\n\r\np1\t3,4\r\n",        # CRLF
+    "2\t2\rp0\t1,2\r# note\rp1\t3,4",           # lone CR, no last one
+    "2\t2\np0\t1,2,3\np1\t4\n",                 # a float moved
+    "2\t2\np0\t1,2\np1\t3,\n",                  # the last one missing
+    "2\t2\np0\t1,2\t5\np1\n",                   # a field moved
+    "2\t2\np0\t1,2\tp1\n3,4\n",                 # ... to make a row
+    "2\t1\np0\t1\x85p1\t2\n",                   # a break `str` splits at
+    "2\t1\np0\t1\np0\t2\n", "2\t1\np0\t1\n\t2\n", "1\t1\np0\tS:1\n",
+    "0\t1\n", "1\t0\np0\t\n",
+] + [f"2\t2\np0\t1.5,{x}\np1\t3,4\n" for x in ODD_FLOATS])
+def test_row_reader_matches_its_line_scan_on_named_files(tmp_path, body):
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(body.encode())
+    _assert_rows_match_line_scan(path, ("",))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body", [
+    "1\t1\np0\t1\tT:2\n", "1\t1\np0\tS:1\t2\n", "1\t1\np0\tS:1\tS:2\n",
+    "1\t2\np0\tS:1,2\tT:3\n", "1\t1\np0\tS:T:1\tT:2\n"])
+def test_embedding_reader_matches_its_line_scan_on_named_files(tmp_path,
+                                                              body):
+    path = tmp_path / "emb.tsv"
+    path.write_bytes(body.encode())
+    _assert_rows_match_line_scan(path, ("S:", "T:"))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body", [
+    "#\tsrc\tdst\np0\tp1\tcp\r\np1\tp2\tcv\r\n",   # `#` first line, CRLF
+    "p0\tp1\tcp\rp1\tp2\tcv",                     # lone CR, no last one
+    "p0\tp1\tcp\tcv\np1\tp2\n",                   # a field moved
+    "p0\tp1\tcp\tp2\np0\tcv\n",                   # ... to make an edge
+    "p0\t#p1\tcp\n", "p0\t\tcp\n", "p0\tp1\tCP\n", "p0\tq\tcv\n",
+])
+@pytest.mark.parametrize("keys", [None, ["p0", "p1", "p2"]])
+def test_edge_reader_matches_its_line_scan_on_named_files(tmp_path, body,
+                                                          keys):
+    path = tmp_path / "edges.tsv"
+    path.write_bytes(body.encode())
+    _assert_edges_match_line_scan(path, keys)
+
+
+def test_well_formed_files_skip_the_line_scan(mini_corpus, tmp_path,
+                                             monkeypatch):
+    """A file every check passes, blank and `#` lines and CRLF line ends
+    too, is read by the bulk path alone."""
+    _cfg, data, g = mini_corpus
+    paths = write_corpus(data, tmp_path)
+    emb = DualEmbeddings(np.arange(g.num_nodes), data.features,
+                         -data.features)
+    dump_embeddings(emb, data.key_map, tmp_path / "emb.tsv")
+    for path in (paths["features"], paths["edges"], tmp_path / "emb.tsv"):
+        head, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(head + b"\r\n# hand-edited\r\n\r\n"
+                         + rest.replace(b"\n", b"\r\n"))
+
+    def refuse(*args):
+        raise AssertionError("line scan on a well-formed file")
+    monkeypatch.setattr(formats, "_scan_rows", refuse)
+    monkeypatch.setattr(graph, "_scan_edges", refuse)
+    X, km = load_feature_file(paths["features"])
+    cp, cv, _ = load_edge_file(paths["edges"], key_map=km)
+    got, _ = load_embeddings(tmp_path / "emb.tsv")
+    assert np.array_equal(X, data.features)
+    assert np.array_equal(got.theta_t, -data.features)
+    assert len(cp) == len(data.cp_pairs) and len(cv) == len(data.cv_pairs)
+
+
 # --- keys the text formats cannot hold ----------------------------------
 
 def _writers(key):
@@ -375,7 +622,8 @@ def test_any_key_is_refused_or_read_back(scratch, key):
             continue
         if name == "graph.tsv":
             cp, cv, km = load_edge_file(path)
-            assert km.keys() == ["p0", key] and cp == cv == [(0, 1)]
+            assert km.keys() == ["p0", key]
+            assert cp.tolist() == cv.tolist() == [[0, 1]]
         else:
             load = load_feature_file if name == "features.tsv" \
                 else load_embeddings

@@ -199,7 +199,7 @@ def test_edge_file_grows_key_map(tmp_path):
     path.write_text("x\ty\tcp\ny\tz\tcv\n")
     cp, cv, km = load_edge_file(path)
     assert len(km) == 3
-    assert cp == [(0, 1)] and cv == [(1, 2)]
+    assert cp.tolist() == [[0, 1]] and cv.tolist() == [[1, 2]]
 
 
 def test_feature_file_roundtrip(tmp_path):

@@ -51,6 +51,15 @@ def test_adam_matches_reference_recurrence():
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
+def test_train_creates_a_missing_out_dir(toy, tmp_path):
+    g, X = toy
+    out = tmp_path / "runs" / "a" / "model"
+    train(g, X, TrainConfig(max_epochs=1, **TOY_CFG), out_dir=out)
+    assert (out / "model.ckpt").is_file()
+    assert (out / "train_state.ckpt").is_file()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_lr_zero_leaves_params_unchanged(toy):
     g, X = toy
     cfg = TrainConfig(lr=0.0, max_epochs=3, **TOY_CFG)
