@@ -4,7 +4,9 @@ One binary, subcommand style: synth, build-graph, train, embed,
 recommend, coldstart, eval. Exit codes: 0 success, 1 usage error,
 2 data/format error, 3 numerical failure. Logs go to stderr (level from
 ASYMGRAPH_LOG), data goes to files or stdout. Every command that owns an
-output directory writes a run manifest there before any other output.
+output directory checks its inputs against each other first, so a refused
+command leaves that directory as it was; then it writes a run manifest
+there before any other output.
 """
 
 from __future__ import annotations
@@ -154,8 +156,10 @@ def cmd_train(args) -> int:
     g, features, km = _load_graph(args.graph, args.features)
     split = evaluation.make_split(args.split, g, seed=args.split_seed)
     g_train = evaluation.train_graph(g, split, use_coview=not args.no_coview)
+    # refuse inputs that do not fit together before writing anything
+    trainer.check_inputs(g_train, features)
     state = None
-    if args.resume:  # refuse a mismatched state before writing anything
+    if args.resume:
         state = trainer.resume(args.resume)
         trainer.check_resumable(state, cfg, g_train, features)
         now = {v: os.environ.get(v) for v in BLAS_THREAD_VARS}
@@ -188,11 +192,11 @@ def cmd_train(args) -> int:
 def cmd_embed(args) -> int:
     g, features, km = _load_graph(args.graph, args.features)
     params = load_checkpoint(Path(args.model) / "model.ckpt")
+    emb = embed_all(g, features, params)  # refuses before anything is written
     out = Path(args.out)
     write_manifest(out, "embed", {}, {},
                    {"graph": args.graph, "features": args.features,
                     "model": str(Path(args.model) / "model.ckpt")})
-    emb = embed_all(g, features, params)
     dump_embeddings(emb, km, out / "embeddings.tsv")
     # keep the graph next to the embeddings so the directory works as a
     # self-contained index (needed by the train-neighbor filter)
@@ -280,6 +284,10 @@ def cmd_coldstart(args) -> int:
 def cmd_eval(args) -> int:
     g, features, km = _load_graph(args.graph, args.features)
     params = load_checkpoint(Path(args.model) / "model.ckpt")
+    # the task refuses what it cannot evaluate before anything is written
+    report = evaluation.run_task(
+        args.task, g, features, params, split_seed=args.split_seed, ks=args.ks,
+        use_coview=not args.no_coview)
     out = Path(args.out)
     write_manifest(out, "eval",
                    {"task": args.task, "ks": list(args.ks),
@@ -287,9 +295,6 @@ def cmd_eval(args) -> int:
                    {"split_seed": args.split_seed},
                    {"graph": args.graph, "features": args.features,
                     "model": str(Path(args.model) / "model.ckpt")})
-    report = evaluation.run_task(
-        args.task, g, features, params, split_seed=args.split_seed, ks=args.ks,
-        use_coview=not args.no_coview)
     rows = report.rows()
     with atomic_write(out / "metrics.tsv") as f:
         f.write("metric\tvalue\n")

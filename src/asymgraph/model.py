@@ -14,9 +14,11 @@ order, so each input frontier is multiplied by W once and feeds both steps
 that read it (its own channel's co-view, the other's co-purchase term).
 
 Training runs `forward` over sampled computation blocks and keeps a tape
-for `backward`. Whole-catalogue inference (`embed_all`) is layer-wise
-instead: each layer is computed once for every node straight from the
-graph's CSR adjacencies, with no tape, through the same per-layer step.
+for `backward`, which consumes it: each layer's entries are freed once
+backward has read them. Whole-catalogue inference (`embed_all`) is
+layer-wise instead: each layer is computed once for every node straight
+from the graph's CSR adjacencies, with no tape, through the same
+per-layer step.
 Cold start runs `forward` over full blocks, so all three share one order.
 """
 
@@ -116,7 +118,8 @@ class Tape:
     layer l's normalized output and layer l+1's input. steps[(channel,
     layer)] holds the selection matrices, ReLU masks and pre-normalization
     row norms; the products H @ W and the pre-activations are not kept.
-    A tape is only valid for the weights it was recorded with.
+    A tape is only valid for the weights it was recorded with, and for
+    one `backward`, which consumes it layer by layer.
     """
 
     num_layers: int
@@ -137,9 +140,10 @@ def _layer(sel_cp, p_cp, sel_cv, p_cv, l: int, ch: str) -> tuple:
     pre_cv = sel_cv @ p_cv
     on_cv = pre_cv > 0.0
     h += np.maximum(pre_cv, 0.0, out=pre_cv)
-    # np.linalg.norm's arithmetic for real rows, without its copy; a
-    # non-finite activation always gives a non-finite row norm
-    norms = np.sqrt(np.add.reduce(h * h, axis=1))
+    # np.linalg.norm's arithmetic for real rows, without its copy, with
+    # h * h in pre_cv's dead buffer; a non-finite activation always gives
+    # a non-finite row norm
+    norms = np.sqrt(np.add.reduce(np.multiply(h, h, out=pre_cv), axis=1))
     if not np.isfinite(norms).all():
         raise NumericalError(f"non-finite activations or row norms in layer "
                              f"{l} ({ch} channel)")
@@ -183,49 +187,71 @@ def forward(blocks: ComputationBlocks, features: np.ndarray,
     return emb, Tape(num_layers=L, H=H, steps=steps)
 
 
+def _unstep(tape: Tape, l: int, ch: str, g: np.ndarray) -> tuple:
+    """Backward of `_layer` at (layer l, channel ch): pops the step's tape
+    entry and its output y, and returns the gradients of the step's
+    co-purchase and co-view feeds. g, the gradient w.r.t. y, is owned
+    here and overwritten. y is scratch once read, except at the top
+    level: that is the embeddings `forward` returned, left as they are."""
+    sel_cp, sel_cv, on_cp, on_cv, norms = tape.steps.pop((ch, l))
+    y = tape.H[l].pop(ch)
+    if l == tape.num_layers:
+        y = y.copy()
+    nz = norms > 0.0
+    y *= np.einsum("ij,ij->i", y, g)[:, None]
+    g -= y
+    g /= np.where(nz, norms, 1.0)[:, None]
+    if not nz.all():
+        g[~nz] = 0.0
+    g_cp = sel_cp.T @ np.multiply(g, on_cp, out=y)
+    del y, on_cp, sel_cp  # freed before the co-view product
+    g *= on_cv
+    return g_cp, sel_cv.T @ g
+
+
 def backward(tape: Tape, params: ModelParams, loss_grad_s: np.ndarray,
              loss_grad_t: np.ndarray) -> list[np.ndarray]:
     """Gradients of a scalar loss w.r.t. every weight matrix.
 
     tape comes from `forward` with these same params; loss_grad_s /
-    loss_grad_t are the loss gradients w.r.t. its seed output rows.
+    loss_grad_t are the loss gradients w.r.t. its seed output rows, and
+    are left as they are.
     Normalization backpropagates through the standard projected Jacobian,
     with zero-norm rows contributing nothing; the ReLU subgradient at 0
     is 0. Each transformed feed P = H @ W sums the gradients of its two
     consumers; then W gets H.T @ gP and the layer below gP @ W.T.
+
+    backward consumes the tape: top-down, it pops each layer's entries
+    before it reads them, so a level is freed once its layer is done and
+    a step holds the rest of the tape plus one layer's working set. The
+    top level is the embeddings `forward` returned; it is freed only if
+    the caller has dropped them. A consumed tape is refused.
     """
     if params.num_layers != tape.num_layers:
         raise ValueError(
             f"tape has {tape.num_layers} layers, params {params.num_layers}")
+    if len(tape.steps) != 2 * tape.num_layers:
+        raise ValueError("tape was already consumed by backward; run "
+                         "forward again for another backward")
     L = tape.num_layers
     grads = [None] * L
     gH = {SOURCE: np.array(loss_grad_s, dtype=np.float64),
           TARGET: np.array(loss_grad_t, dtype=np.float64)}
     for l in range(L, 0, -1):
-        gP = {}
-        for ch in (SOURCE, TARGET):
-            sel_cp, sel_cv, on_cp, on_cv, norms = tape.steps[(ch, l)]
-            y = tape.H[l][ch]
-            g = gH.pop(ch)  # owned here, so it becomes g_pre in place
-            nz = norms > 0.0
-            g -= y * np.einsum("ij,ij->i", y, g)[:, None]
-            g /= np.where(nz, norms, 1.0)[:, None]
-            if not nz.all():
-                g[~nz] = 0.0
-            parts = [(TARGET if ch == SOURCE else SOURCE,
-                      sel_cp.T @ (g * on_cp))]
-            g *= on_cv
-            parts.append((ch, sel_cv.T @ g))
-            for key, contrib in parts:
-                if key in gP:
-                    gP[key] += contrib
-                else:
-                    gP[key] = contrib
+        # each transformed feed sums its two consumers' gradients: its
+        # own channel's co-view term and the other's co-purchase term
+        gP_t, gP_s = _unstep(tape, l, SOURCE, gH.pop(SOURCE))
+        cp_s, cv_t = _unstep(tape, l, TARGET, gH.pop(TARGET))
+        gP_s += cp_s
+        gP_t += cv_t
+        del cp_s, cv_t
         H = tape.H[l - 1]
-        grads[l - 1] = H[SOURCE].T @ gP[SOURCE] + H[TARGET].T @ gP[TARGET]
+        grads[l - 1] = H[SOURCE].T @ gP_s + H[TARGET].T @ gP_t
         if l > 1:  # input features are constants
             w = params.weights[l - 1]
-            gH = {ch: gP[ch] @ w.T for ch in (SOURCE, TARGET)}
+            gH = {SOURCE: gP_s @ w.T, TARGET: gP_t @ w.T}
+        del gP_s, gP_t
+    tape.H.clear()
     for l, g in enumerate(grads):
         if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for weight {l}")

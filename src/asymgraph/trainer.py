@@ -211,6 +211,15 @@ def _incident_cv_pairs(g: DirectedProductGraph, endpoints: np.ndarray,
     return hit
 
 
+def check_inputs(g: DirectedProductGraph, features: np.ndarray) -> None:
+    """Refuse a training graph and features that `train` cannot run on."""
+    if len(g.cp_edges) == 0:
+        raise ValueError("training graph has no co-purchase edges")
+    if features.shape[0] != g.num_nodes:
+        raise DataFormatError(
+            f"feature rows {features.shape[0]} != num nodes {g.num_nodes}")
+
+
 def validation_mrr10(g: DirectedProductGraph, features: np.ndarray,
                      params: ModelParams, val_edges: np.ndarray) -> float:
     """MRR@10 of held-out edges (`evaluation.ranking_report`)."""
@@ -227,12 +236,8 @@ def train(g: DirectedProductGraph, features: np.ndarray, cfg: TrainConfig,
     MRR@10; the graph passed in should already be the training graph.
     Emits one tab-separated log line per batch when log_stream is given.
     """
+    check_inputs(g, features)
     edges = g.cp_edges
-    if len(edges) == 0:
-        raise ValueError("training graph has no co-purchase edges")
-    if features.shape[0] != g.num_nodes:
-        raise DataFormatError(
-            f"feature rows {features.shape[0]} != num nodes {g.num_nodes}")
     flags = one_way_mask(g, edges)
     val_edges = None
     if split is not None and getattr(split, "val_edges", None) is not None \
@@ -277,9 +282,13 @@ def train(g: DirectedProductGraph, features: np.ndarray, cfg: TrainConfig,
                 g, seeds, cfg.fanouts,
                 rng_seed=derive_seed(cfg.root_seed, STREAM_BLOCKS, epoch, b))
             emb, tape = forward(blocks, features, params)
+            del blocks
             batch = LossBatch(batch_edges, batch_flags, cv_sel, negatives)
             value, gs, gt = loss_grad(emb, batch, weights=cfg.term_weights,
                                       negative_form=cfg.negative_form)
+            # emb is the tape's top level: backward frees each level as
+            # it goes only if nothing else holds it
+            del emb
             if not np.isfinite(value.total):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch} batch {b}")

@@ -20,7 +20,7 @@ from asymgraph.errors import DataFormatError, NumericalError
 from asymgraph.graph import DirectedProductGraph, KeyMap
 from asymgraph.loss import (NEGATIVE_FORMS, NUM_TERMS, LossBatch, LossValue,
                             log_sigmoid, sigmoid)
-from asymgraph.model import DualEmbeddings, ModelParams
+from asymgraph.model import DualEmbeddings, ModelParams, Tape
 from asymgraph.sampler import SOURCE, TARGET, ComputationBlocks
 from asymgraph.synth import CLIQUE_OFFSET, SynthConfig, SynthData
 from asymgraph.trainer import AdamState, TrainConfig, TrainState
@@ -1190,3 +1190,59 @@ def aggregate_first_embed_all(g: DirectedProductGraph, features: np.ndarray,
         S, T = (aggregate_first_layer(cp_out, T, cv, S, w, l, SOURCE)[-1],
                 aggregate_first_layer(cp_in, S, cv, T, w, l, TARGET)[-1])
     return DualEmbeddings(nodes=np.arange(n), theta_s=S, theta_t=T)
+
+
+# ----------------------------------------------------------------------
+# The backward pass that reads its tape and leaves it whole: the oracle
+# for `model.backward`, which consumes the tape layer by layer with the
+# same float operations in the same order, so its grads are bit-equal.
+# ----------------------------------------------------------------------
+
+def keeping_backward(tape: Tape, params: ModelParams,
+                     loss_grad_s: np.ndarray,
+                     loss_grad_t: np.ndarray) -> list[np.ndarray]:
+    """Gradients of a scalar loss w.r.t. every weight matrix.
+
+    tape comes from `forward` with these same params; loss_grad_s /
+    loss_grad_t are the loss gradients w.r.t. its seed output rows.
+    Normalization backpropagates through the standard projected Jacobian,
+    with zero-norm rows contributing nothing; the ReLU subgradient at 0
+    is 0. Each transformed feed P = H @ W sums the gradients of its two
+    consumers; then W gets H.T @ gP and the layer below gP @ W.T.
+    """
+    if params.num_layers != tape.num_layers:
+        raise ValueError(
+            f"tape has {tape.num_layers} layers, params {params.num_layers}")
+    L = tape.num_layers
+    grads = [None] * L
+    gH = {SOURCE: np.array(loss_grad_s, dtype=np.float64),
+          TARGET: np.array(loss_grad_t, dtype=np.float64)}
+    for l in range(L, 0, -1):
+        gP = {}
+        for ch in (SOURCE, TARGET):
+            sel_cp, sel_cv, on_cp, on_cv, norms = tape.steps[(ch, l)]
+            y = tape.H[l][ch]
+            g = gH.pop(ch)  # owned here, so it becomes g_pre in place
+            nz = norms > 0.0
+            g -= y * np.einsum("ij,ij->i", y, g)[:, None]
+            g /= np.where(nz, norms, 1.0)[:, None]
+            if not nz.all():
+                g[~nz] = 0.0
+            parts = [(TARGET if ch == SOURCE else SOURCE,
+                      sel_cp.T @ (g * on_cp))]
+            g *= on_cv
+            parts.append((ch, sel_cv.T @ g))
+            for key, contrib in parts:
+                if key in gP:
+                    gP[key] += contrib
+                else:
+                    gP[key] = contrib
+        H = tape.H[l - 1]
+        grads[l - 1] = H[SOURCE].T @ gP[SOURCE] + H[TARGET].T @ gP[TARGET]
+        if l > 1:  # input features are constants
+            w = params.weights[l - 1]
+            gH = {ch: gP[ch] @ w.T for ch in (SOURCE, TARGET)}
+    for l, g in enumerate(grads):
+        if not np.isfinite(g).all():
+            raise NumericalError(f"non-finite gradient for weight {l}")
+    return grads

@@ -383,6 +383,47 @@ def test_failed_recommend_leaves_no_out_file(workspace, trained, tmp_path,
     assert emitted == ["c00m000", "c00m001"]
     assert list(out_dir.iterdir()) == []
 
+
+def _narrow_features(corpus, path):
+    """The corpus's features without their last column."""
+    header, *rows = (corpus / "features.tsv").read_text().splitlines()
+    n, d = header.split("\t")
+    path.write_text(f"{n}\t{int(d) - 1}\n" + "".join(
+        row.rsplit(",", 1)[0] + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("out_state", ["absent", "kept"])
+@pytest.mark.parametrize("command", ["train", "embed", "eval"])
+def test_refused_command_leaves_out_as_it_was(workspace, trained, tmp_path,
+                                              caplog, command, out_state):
+    """A command whose inputs do not fit together exits 2 before it
+    writes: `--out` is left absent, or as it was."""
+    _root, corpus = workspace
+    out = tmp_path / "out"
+    if out_state == "kept":
+        out.mkdir()
+        (out / "manifest.json").write_text("an earlier run's\n")
+    before = _snapshot(out) if out.exists() else None
+    if command == "train":
+        # co-view pairs only: nothing to train on
+        edges = tmp_path / "cv_only.tsv"
+        edges.write_text("".join(
+            line + "\n" for line in (corpus / "edges.tsv").read_text()
+            .splitlines() if line.endswith("\tcv")))
+        argv = ["train", "--graph", str(edges), "--features",
+                str(corpus / "features.tsv"), "--split", "none"]
+        message = "no co-purchase edges"
+    else:
+        narrow = tmp_path / "narrow.tsv"
+        _narrow_features(corpus, narrow)
+        argv = [command, "--model", str(trained), "--graph",
+                str(corpus / "edges.tsv"), "--features", str(narrow)]
+        argv += ["--task", "node-rec"] if command == "eval" else []
+        message = "features have shape"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_DATA
+    assert message in caplog.text
+    assert (_snapshot(out) if out.exists() else None) == before
+
 def test_module_entry_sets_unset_blas_threads_to_one(tmp_path):
     """`python -m asymgraph` runs BLAS on one thread unless the caller set
     a count: the package root loads no numpy, so the setting comes first.

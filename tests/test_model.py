@@ -1,4 +1,5 @@
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from asymgraph.graph import KeyMap
 from asymgraph.trainer import AdamState, TrainState, save_train_state
 from reference import (aggregate_first_backward, aggregate_first_embed_all,
                        aggregate_first_forward, batched_embed_all,
-                       naive_dual_embeddings)
+                       keeping_backward, naive_dual_embeddings)
 
 
 def _close(got, want):
@@ -178,7 +179,8 @@ class TestBackward:
 
     def test_tape_grads_equal_fresh_forward(self, random_graph):
         """Grads from the step's own tape are bit-identical to grads from
-        a recomputed forward, and backward leaves the tape reusable."""
+        a recomputed forward, and a second backward on the same tape
+        raises ValueError."""
         g, X = random_graph(num_nodes=20, num_cp=40, num_cv=15, d_in=5, seed=0)
         params = ModelParams.init(5, 4, 3, np.random.default_rng(3))
         edges = g.cp_edges
@@ -189,9 +191,60 @@ class TestBackward:
         _, gs, gt = loss_grad(emb, batch)
         from_tape = backward(tape, params, gs, gt)
         fresh = backward(forward(blocks, X, params)[1], params, gs, gt)
-        again = backward(tape, params, gs, gt)
-        for a, b, c in zip(from_tape, fresh, again):
-            assert a.tobytes() == b.tobytes() == c.tobytes()
+        with pytest.raises(ValueError, match="consumed"):
+            backward(tape, params, gs, gt)
+        for a, b in zip(from_tape, fresh):
+            assert a.tobytes() == b.tobytes()
+
+    @given(st.data())
+    def test_consuming_backward_is_bit_equal_to_the_keeping_one(self, data):
+        """Grads equal, byte for byte, those of the backward that leaves
+        its tape whole, on capped and full blocks of 1-3 layers, with
+        isolated nodes, zero feature rows and zero-norm output rows. The
+        embeddings and the loss gradients are left as they were."""
+        linked = data.draw(st.integers(1, 12), label="linked nodes")
+        n = linked + data.draw(st.integers(0, 3), label="isolated nodes")
+        pair = st.tuples(st.integers(0, linked - 1), st.integers(0, linked - 1))
+        cp = data.draw(st.lists(pair, max_size=30))
+        cv = data.draw(st.lists(pair, max_size=15))
+        layers = data.draw(st.integers(1, 3), label="layers")
+        seeds = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        g = build_graph(cp, cv, n)
+        if data.draw(st.booleans(), label="full blocks"):
+            blocks = full_blocks(g, seeds, layers)
+        else:
+            caps = data.draw(st.lists(st.one_of(st.none(), st.integers(1, 3)),
+                                      min_size=layers, max_size=layers))
+            blocks = sample_blocks(g, seeds, caps, rng_seed=1)
+        X = rng.normal(size=(n, 3))
+        X[rng.random(n) < 0.2] = 0.0
+        params = ModelParams.init(3, 4, layers, rng)
+        emb, tape = forward(blocks, X, params)
+        gs, gt = rng.normal(size=(2,) + emb.theta_s.shape)
+        kept = [a.copy() for a in (emb.theta_s, emb.theta_t, gs, gt)]
+        want = keeping_backward(tape, params, gs, gt)
+        got = backward(tape, params, gs, gt)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        for now, before in zip((emb.theta_s, emb.theta_t, gs, gt), kept):
+            assert now.tobytes() == before.tobytes()
+
+    def test_backward_frees_the_tape(self, random_graph):
+        """Every frontier, mask and selection matrix of the tape is dead
+        once backward returns, when the caller has dropped the
+        embeddings (the tape's top level)."""
+        g, X = random_graph(seed=4)
+        params = ModelParams.init(5, 4, 3, np.random.default_rng(1))
+        emb, tape = forward(sample_blocks(g, np.arange(20), [3, 3, 3],
+                                          rng_seed=1), X, params)
+        gs, gt = np.random.default_rng(2).normal(size=(2,) + emb.theta_s.shape)
+        refs = [weakref.ref(a) for level in tape.H for a in level.values()]
+        refs += [weakref.ref(a) for step in tape.steps.values() for a in step]
+        assert len(refs) == 2 * 4 + 2 * 3 * 5
+        del emb
+        backward(tape, params, gs, gt)
+        assert sum(r() is not None for r in refs) == 0
 
     def test_tape_layer_mismatch_rejected(self, random_graph):
         g, X = random_graph(seed=2)

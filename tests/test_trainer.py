@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -256,6 +257,27 @@ def test_one_step_runs_one_forward(small, monkeypatch):
                                     batch_size=len(g.cp_edges))
     train(g, X, one_batch)
     assert len(calls) == 1
+
+
+def test_train_holds_no_tape_level_past_backward(mini_corpus, monkeypatch):
+    """The tape's top level (the batch's embeddings) dies when backward
+    returns: the trainer keeps no reference of its own to it, so backward
+    frees every level of the tape as it goes."""
+    _cfg, data, g = mini_corpus
+    alive = []
+    real = trainer.backward
+
+    def watching(tape, *args):
+        top = [weakref.ref(a) for a in tape.H[-1].values()]
+        grads = real(tape, *args)
+        alive.append(sum(r() is not None for r in top))
+        return grads
+
+    monkeypatch.setattr(trainer, "backward", watching)
+    cfg = TrainConfig(max_epochs=1, batch_size=64)
+    train(g, data.features, cfg)
+    batches = -(-len(g.cp_edges) // cfg.batch_size)
+    assert batches > 1 and alive == [0] * batches
 
 
 def test_one_loss_pass_per_batch(small, monkeypatch):
