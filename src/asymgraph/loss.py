@@ -11,15 +11,15 @@ Term layout over a batch:
 
 Each attract term is log sigmoid(dot); repel terms use the literal
 log sigmoid(1 - dot) form by default (`negative_form="one_minus_dot"`),
-with the conventional log sigmoid(-dot) form available as
-"negated_dot". The returned
-total is the negated sum, so it is always >= 0. One-way edges contribute
-to both terms 1 and 3, matching the printed sums.
+with the conventional log sigmoid(-dot) form available as "negated_dot".
+The returned total is the negated sum, so it is always >= 0. One-way
+edges contribute to both terms 1 and 3, matching the printed sums.
 
-Training runs one pass per batch, `loss_grad`: `asymmetric_loss`
-gathers each row and computes each term's dots once, and keeps each
-term's gradient contributions beside the value; then one sparse scatter
-per channel sums them into the source and target gradients.
+Training runs one pass per batch, `loss_grad`. `asymmetric_loss`
+gathers a term's rows only to compute its dots, and keeps the term's
+gradient entries as index arrays, not rows: (rows, coeff, cols), cols
+indexing the stacked rows x = [theta_s; theta_t]. Each channel's
+gradient is then one CSR matrix of coefficients times x.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ class LossBatch:
         neg = np.asarray(self.negatives, dtype=np.int64)
         if neg.size == 0:
             neg = neg.reshape(m, 0) if m else neg.reshape(0, 1)
+        elif neg.ndim > 2 or neg.shape[:1] != (m,):
+            raise ValueError(f"negatives of shape {neg.shape} for {m} edges")
         else:
             neg = neg.reshape(m, -1)
         self.negatives = neg
@@ -60,8 +62,9 @@ class LossBatch:
 @dataclass
 class LossValue:
     """Negated total plus the six raw log-likelihood sums (each <= 0).
-    `parts` holds what `loss_grad` scatters: per channel (source, target),
-    the (rows, coeff, vecs) gradient contributions in term order."""
+    `parts` holds what `loss_grad` sums: per channel (source, target), the
+    (rows, coeff, cols) gradient entries in term order, cols indexing the
+    stacked rows [theta_s; theta_t]."""
 
     total: float
     terms: np.ndarray
@@ -104,36 +107,36 @@ def _repel(dots: np.ndarray, weight: float,
     return log_sigmoid(-dots).sum(), weight * sigmoid(dots)
 
 
-def _scatter(like: np.ndarray, parts: list) -> np.ndarray:
-    """Sum coeff * vec rows into the rows they name, for (rows, coeff,
-    vecs) parts in order. One CSR product of a ones matrix with the
-    stacked rows; each output row sums its entries in order of appearance
-    from zero, so the result is bit-identical to adding the rows one at a
-    time."""
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row dots, np.sum(x * y, axis=-1), with the products in x's buffer."""
+    x *= y
+    return x.sum(axis=-1)
+
+
+def _csr_sum(x: np.ndarray, n: int, parts: list) -> np.ndarray:
+    """Sum coeff * x[cols] into the rows they name, for (rows, coeff, cols)
+    parts in order: one CSR matrix of coefficients times x. A stable sort
+    by row keeps each row's entries in order of appearance, duplicates
+    apart (a COO conversion would sum them first), so each output row sums
+    its products from zero in the order `np.add.at` adds them."""
     if not parts:
-        return np.zeros_like(like)
-    rows = np.concatenate([r for r, _, _ in parts])
-    vals = np.empty((len(rows), like.shape[1]))
-    at = 0
-    for _, coeff, vecs in parts:
-        np.multiply(coeff[:, None], vecs, out=vals[at:at + len(vecs)])
-        at += len(vecs)
-    # COO to CSR is a stable bucket sort by row: each row keeps its order
-    ones = sp.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))),
-                         shape=(len(like), len(rows)))
-    return ones @ vals
+        return np.zeros((n, x.shape[1]))
+    rows, coeff, cols = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(rows, kind="stable")
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+    return sp.csr_matrix((coeff[order], cols[order], ptr),
+                         shape=(n, len(x))) @ x
 
 
 def asymmetric_loss(emb, batch: LossBatch, weights=None,
                     negative_form: str = "one_minus_dot") -> LossValue:
     """Evaluate the loss; `weights` optionally scales the six terms.
 
-    Each row is gathered and each dot computed once. With the value come
-    its gradient contributions (`LossValue.parts`): attract terms give
-    (sigmoid(dot) - 1) times the opposite row; repel terms give the
-    derivative of -log sigmoid(1 - dot), which is 1 - sigmoid(1 - dot),
-    times the opposite row (or the mirrored sign for the conventional
-    -dot form).
+    With the value come its gradient entries (`LossValue.parts`): attract
+    terms give (sigmoid(dot) - 1) times the opposite row; repel terms give
+    the derivative of -log sigmoid(1 - dot), 1 - sigmoid(1 - dot), times
+    the opposite row (or the mirrored sign for the conventional -dot form).
     """
     if negative_form not in NEGATIVE_FORMS:
         raise ValueError(f"negative_form must be one of {NEGATIVE_FORMS}")
@@ -141,46 +144,38 @@ def asymmetric_loss(emb, batch: LossBatch, weights=None,
     if w.shape != (NUM_TERMS,):
         raise ValueError(f"expected {NUM_TERMS} term weights")
     terms = np.zeros(NUM_TERMS)
-    s_parts, t_parts = [], []  # (rows, coeff, vecs), in term order
+    s_parts, t_parts = [], []  # (rows, coeff, cols), cols into [s; t]
+    n = len(emb.nodes)
     e, ow, cv = batch.cp_edges, batch.one_way, batch.cv_pairs
     if len(e):
-        u_rows = emb.rows_of(e[:, 0])
-        v_rows = emb.rows_of(e[:, 1])
-        s_u = emb.theta_s[u_rows]
-        t_v = emb.theta_t[v_rows]
-        d1 = np.sum(s_u * t_v, axis=1)
+        u, v = emb.rows_of(e[:, 0]), emb.rows_of(e[:, 1])
+        s_u = emb.theta_s[u]
+        d1 = _dots(emb.theta_t[v], s_u)
         terms[0], c1 = _attract(d1, w[0])
-        s_parts.append((u_rows, c1, t_v))
-        t_parts.append((v_rows, c1, s_u))
+        s_parts.append((u, c1, n + v))
+        t_parts.append((v, c1, u))
         if batch.negatives.size:
-            z = batch.negatives
-            z_rows = emb.rows_of(z.ravel())
-            t_z = emb.theta_t[z_rows]
-            s_u_rep = np.repeat(s_u, z.shape[1], axis=0)
-            terms[1], c2 = _repel(np.sum(s_u_rep * t_z, axis=1), w[1],
-                                  negative_form)
-            s_parts.append((np.repeat(u_rows, z.shape[1]), c2, t_z))
-            t_parts.append((z_rows, c2, s_u_rep))
+            z = emb.rows_of(batch.negatives)  # (m, k): one (m, k, d) gather
+            d2 = _dots(emb.theta_t[z], s_u[:, None, :]).ravel()
+            terms[1], c2 = _repel(d2, w[1], negative_form)
+            u_k, z = np.repeat(u, z.shape[1]), z.ravel()
+            s_parts.append((u_k, c2, n + z))
+            t_parts.append((z, c2, u_k))
         if ow.any():
-            uo_rows, vo_rows = u_rows[ow], v_rows[ow]
+            uo, vo = u[ow], v[ow]
             terms[2], c3 = _attract(d1[ow], w[2])
-            s_parts.append((uo_rows, c3, t_v[ow]))
-            t_parts.append((vo_rows, c3, s_u[ow]))
-            s_v = emb.theta_s[vo_rows]
-            t_u = emb.theta_t[uo_rows]
-            terms[3], c4 = _repel(np.sum(s_v * t_u, axis=1), w[3],
-                                  negative_form)
-            s_parts.append((vo_rows, c4, t_u))
-            t_parts.append((uo_rows, c4, s_v))
+            s_parts.append((uo, c3, n + vo))
+            t_parts.append((vo, c3, uo))
+            terms[3], c4 = _repel(_dots(emb.theta_s[vo], emb.theta_t[uo]),
+                                  w[3], negative_form)
+            s_parts.append((vo, c4, n + uo))
+            t_parts.append((uo, c4, vo))
     if len(cv):
-        a_rows = emb.rows_of(cv[:, 0])
-        b_rows = emb.rows_of(cv[:, 1])
-        s_a, s_b = emb.theta_s[a_rows], emb.theta_s[b_rows]
-        t_a, t_b = emb.theta_t[a_rows], emb.theta_t[b_rows]
-        terms[4], c5 = _attract(np.sum(s_a * s_b, axis=1), w[4])
-        s_parts += [(a_rows, c5, s_b), (b_rows, c5, s_a)]
-        terms[5], c6 = _attract(np.sum(t_a * t_b, axis=1), w[5])
-        t_parts += [(a_rows, c6, t_b), (b_rows, c6, t_a)]
+        a, b = emb.rows_of(cv[:, 0]), emb.rows_of(cv[:, 1])
+        terms[4], c5 = _attract(_dots(emb.theta_s[a], emb.theta_s[b]), w[4])
+        s_parts += [(a, c5, b), (b, c5, a)]
+        terms[5], c6 = _attract(_dots(emb.theta_t[a], emb.theta_t[b]), w[5])
+        t_parts += [(a, c6, n + b), (b, c6, n + a)]
     return LossValue(total=float(-(w * terms).sum()), terms=terms,
                      parts=(s_parts, t_parts))
 
@@ -188,8 +183,9 @@ def asymmetric_loss(emb, batch: LossBatch, weights=None,
 def loss_grad(emb, batch: LossBatch, weights=None,
               negative_form: str = "one_minus_dot"):
     """The loss and its gradients w.r.t. the embedding rows, in one pass:
-    `asymmetric_loss`, then one scatter per channel. Returns (LossValue,
-    grad_s, grad_t), the gradients aligned with the embedding rows."""
+    `asymmetric_loss`, then one CSR product per channel over the stacked
+    rows. Returns (LossValue, grad_s, grad_t), aligned with the rows."""
     value = asymmetric_loss(emb, batch, weights, negative_form)
     (s_parts, t_parts), value.parts = value.parts, ((), ())  # free them
-    return value, _scatter(emb.theta_s, s_parts), _scatter(emb.theta_t, t_parts)
+    x, n = np.concatenate((emb.theta_s, emb.theta_t)), len(emb.nodes)
+    return value, _csr_sum(x, n, s_parts), _csr_sum(x, n, t_parts)

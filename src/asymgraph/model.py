@@ -114,10 +114,12 @@ def _selection(ptr: np.ndarray, rows: np.ndarray, n_cols: int) -> sp.csr_matrix:
 class Tape:
     """What one forward pass keeps for its backward pass.
 
-    H[l][channel] is level l's frontier: H[0] the gathered features, H[l]
-    layer l's normalized output and layer l+1's input. steps[(channel,
-    layer)] holds the selection matrices, ReLU masks and pre-normalization
-    row norms; the products H @ W and the pre-activations are not kept.
+    H[l][channel] is level l's frontier: H[0] the input frontier's
+    features, H[l] layer l's normalized output and layer l+1's input.
+    H[0] may be one array for both channels, and may be the caller's
+    `features` itself; backward only reads it. steps[(channel, layer)]
+    holds the selection matrices, ReLU masks and pre-normalization row
+    norms; the products H @ W and the pre-activations are not kept.
     A tape is only valid for the weights it was recorded with, and for
     one `backward`, which consumes it layer by layer.
     """
@@ -159,19 +161,28 @@ def _times(h: np.ndarray, w: np.ndarray) -> np.ndarray:
 def forward(blocks: ComputationBlocks, features: np.ndarray,
             params: ModelParams) -> tuple[DualEmbeddings, Tape]:
     """Embeddings for the block seeds (rows align with blocks.seeds), plus
-    the tape that `backward` needs for the same weights."""
+    the tape that `backward` needs for the same weights. Equal level-0
+    frontiers share one array, transformed once: the caller's `features`
+    itself when it holds every product, which `backward` only reads."""
     if params.num_layers != blocks.num_layers:
         raise ValueError(
             f"blocks have {blocks.num_layers} layers, params {params.num_layers}")
     if features.shape[1] != params.input_dim:
         raise ValueError(
             f"feature dim {features.shape[1]} != model input dim {params.input_dim}")
-    H = [{ch: features[blocks.levels[0][ch].nodes] for ch in (SOURCE, TARGET)}]
+    nodes_s, nodes_t = (blocks.levels[0][ch].nodes for ch in (SOURCE, TARGET))
+    if np.array_equal(nodes_s, nodes_t):  # frontiers are sorted and distinct
+        h_s = h_t = features if len(nodes_s) == len(features) else features[nodes_s]
+    else:
+        h_s, h_t = features[nodes_s], features[nodes_t]
+    H = [{SOURCE: h_s, TARGET: h_t}]
     steps = {}
     for l in range(1, blocks.num_layers + 1):
         w = params.weights[l - 1]
         # each frontier is transformed once, for the two steps it feeds
-        P = {ch: _times(H[l - 1][ch], w) for ch in (SOURCE, TARGET)}
+        h_s, h_t = H[l - 1][SOURCE], H[l - 1][TARGET]
+        P_s = _times(h_s, w)
+        P = {SOURCE: P_s, TARGET: P_s if h_t is h_s else _times(h_t, w)}
         out = {}
         for ch in (SOURCE, TARGET):
             blk = blocks.levels[l][ch]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,7 +218,8 @@ def loss_cases(draw):
     no one-way edges or co-view pairs, repeat rows, or zero term
     weights."""
     n = draw(st.integers(1, 8))
-    d = draw(st.integers(1, 4))
+    # 64 and 67 reach numpy's 8-wide pairwise sum, as training's dots do
+    d = draw(st.one_of(st.integers(1, 4), st.sampled_from([64, 67])))
     ids = np.array(sorted(draw(st.sets(st.integers(0, 50), min_size=n,
                                        max_size=n))))
     node = st.sampled_from(ids.tolist())
@@ -242,11 +244,7 @@ def loss_cases(draw):
     return emb, batch, weights, draw(st.sampled_from(NEGATIVE_FORMS))
 
 
-@given(case=loss_cases())
-def test_one_pass_is_bitwise_the_add_at_oracle(case):
-    """The one-pass value, its six terms and both gradients are bitwise
-    those of the two-pass, np.add.at code it replaced."""
-    emb, batch, weights, form = case
+def _assert_add_at_bits(emb, batch, weights, form):
     value, gs, gt = loss_grad(emb, batch, weights=weights, negative_form=form)
     want = addat_asymmetric_loss(emb, batch, weights=weights, negative_form=form)
     want_s, want_t = addat_loss_grad(emb, batch, weights=weights,
@@ -257,3 +255,56 @@ def test_one_pass_is_bitwise_the_add_at_oracle(case):
     assert gt.shape == want_t.shape and gt.tobytes() == want_t.tobytes()
     alone = asymmetric_loss(emb, batch, weights=weights, negative_form=form)
     assert alone.terms.tobytes() == want.terms.tobytes()
+
+
+@given(case=loss_cases())
+def test_one_pass_is_bitwise_the_add_at_oracle(case):
+    """The one-pass value, its six terms and both gradients are bitwise
+    those of the two-pass, np.add.at code it replaced."""
+    _assert_add_at_bits(*case)
+
+
+@pytest.mark.parametrize("form", NEGATIVE_FORMS)
+def test_repeated_edge_and_negative_keep_the_add_at_bits(form):
+    """A repeated edge, a repeated (u, z) pair and a repeated co-view pair
+    give duplicate (row, column) entries; summed apart and in order, they
+    keep np.add.at's bits."""
+    rng = np.random.default_rng(13)
+    emb = make_emb(rng.normal(size=(4, 67)), rng.normal(size=(4, 67)))
+    batch = LossBatch([(0, 1), (0, 1), (2, 1)], [True, True, False],
+                      [(0, 2), (0, 2)], [[3, 3], [3, 2], [3, 0]])
+    _assert_add_at_bits(emb, batch, None, form)
+
+
+@pytest.mark.parametrize("negs", [np.arange(6).reshape(3, 2), np.arange(6),
+                                  np.zeros((2, 1, 3))])
+def test_negatives_need_one_row_per_edge(negs):
+    """Negatives of another row count are refused, not reshaped onto the
+    wrong edges."""
+    with pytest.raises(ValueError, match="negatives"):
+        LossBatch([(0, 1), (1, 2)], [False, False], np.empty((0, 2)), negs)
+    assert LossBatch([(0, 1), (1, 2)], [False, False], np.empty((0, 2)),
+                     np.arange(6).reshape(2, 3)).negatives.shape == (2, 3)
+
+
+def test_loss_grad_copies_no_contribution_rows():
+    """On a batch where the negatives dominate, one loss_grad's traced
+    peak stays within twice the negatives' (m, k, d) block of target
+    rows: the terms keep index arrays, not copied rows."""
+    rng = np.random.default_rng(12)
+    n, d, m, k, c = 300, 64, 512, 5, 256
+    emb = make_emb(rng.normal(size=(n, d)), rng.normal(size=(n, d)))
+    batch = LossBatch(rng.integers(0, n, size=(m, 2)), rng.random(m) < 0.5,
+                      rng.integers(0, n, size=(c, 2)),
+                      rng.integers(0, n, size=(m, k)))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        loss_grad(emb, batch)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 2 * m * k * d * 8

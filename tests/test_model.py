@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from asymgraph import util
+from asymgraph import model, util
 from asymgraph.errors import DataFormatError, NumericalError
 from asymgraph.graph import build_graph
 from asymgraph.loss import LossBatch, asymmetric_loss, loss_grad
 from asymgraph.model import (DualEmbeddings, ModelParams, backward, embed_all,
                              dump_embeddings, forward, load_checkpoint,
                              load_embeddings, save_checkpoint)
-from asymgraph.sampler import full_blocks, sample_blocks, sample_negatives
+from asymgraph.sampler import (SOURCE, TARGET, full_blocks, sample_blocks,
+                               sample_negatives)
 from asymgraph.graph import one_way_mask
 from asymgraph.graph import KeyMap
 from asymgraph.trainer import AdamState, TrainState, save_train_state
@@ -113,6 +114,25 @@ class TestForward:
         b, _ = forward(sample_blocks(g, np.arange(20), [3, 3], 9), X, params)
         assert np.array_equal(a.theta_s, b.theta_s)
         assert np.array_equal(a.theta_t, b.theta_t)
+
+    def test_whole_catalogue_level_0_is_the_features(self, monkeypatch):
+        """Where both level-0 frontiers hold every product, level 0 is the
+        caller's features for both channels and layer 1 transforms them
+        once: 2L - 1 products in all. backward leaves them as they were."""
+        n, L = 8, 3
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        g = build_graph(ring, ring, n)
+        X = np.random.default_rng(0).normal(size=(n, 5))
+        kept = X.copy()
+        params = ModelParams.init(5, 4, L, np.random.default_rng(1))
+        times, calls = model._times, []
+        monkeypatch.setattr(model, "_times",
+                            lambda h, w: calls.append(h) or times(h, w))
+        _, tape = forward(full_blocks(g, np.arange(n), L), X, params)
+        assert tape.H[0][SOURCE] is X is tape.H[0][TARGET]
+        assert len(calls) == 2 * L - 1
+        backward(tape, params, np.ones((n, 4)), np.ones((n, 4)))
+        assert X.tobytes() == kept.tobytes()
 
     def test_shape_mismatch_rejected(self, single_edge_graph):
         g, X = single_edge_graph
